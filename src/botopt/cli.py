@@ -11,18 +11,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .bayesopt import write_trace
-from .dtree import HyperParams, fit_tree, predict_many
-from .ingest import load_flows, stratified_split
-from .metrics import compute_metrics, confusion, metrics_to_text, pca2, write_pca_csv
+from .dtree import HyperParams, fit_tree
+from .metrics import metrics_to_text, pca2, write_pca_csv
 from .pipeline import (
     PipelineConfig,
     benchmark_scaling,
+    load_dataset,
+    prepare,
     report_to_text,
     run_pipeline,
+    score,
+    search,
 )
-from .preprocess import SmoteConfig, apply_minmax, fit_minmax, scale_dataset, smote
+from .preprocess import apply_minmax, fit_minmax, smote
 
 
 def _add_common(p: argparse.ArgumentParser, seed_required: bool) -> None:
@@ -53,53 +57,22 @@ def _add_common(p: argparse.ArgumentParser, seed_required: bool) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {
-        k: getattr(args, k, None)
-        for k in (
-            "data_path",
-            "label_column",
-            "positive_label",
-            "negative_label",
-            "test_fraction",
-            "seed",
-            "smote_k",
-            "smote_ratio",
-            "budget",
-            "n_init",
-            "cv_folds",
-            "n_candidates",
-            "n_threads",
-        )
-    }
-    if getattr(args, "feature_columns", None):
-        overrides["feature_columns"] = [c.strip() for c in args.feature_columns.split(",")]
-    if getattr(args, "space", None):
-        from .bayesopt import Dim, SearchSpace
-
-        dims = json.loads(args.space)
-        overrides["space"] = SearchSpace(
-            dims=tuple(Dim(s["name"], s["kind"], s["lower"], s["upper"]) for s in dims)
-        )
+    # every PipelineConfig field has the flag of the same name
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
+    overrides["feature_columns"] = (
+        [c.strip() for c in args.feature_columns.split(",")] if args.feature_columns else None
+    )
+    overrides["space"] = json.loads(args.space) if args.space else None
     if args.config:
         cfg = PipelineConfig.from_file(args.config, **overrides)
     else:
         filled = {k: v for k, v in overrides.items() if v is not None}
         if "seed" not in filled:
             filled["seed"] = 0
-        cfg = PipelineConfig(**filled)
+        cfg = PipelineConfig.from_dict(filled)
     if cfg.data_path is None:
         raise SystemExit("error: no data file (pass --data or set data_path in the config)")
     return cfg
-
-
-def _load(cfg: PipelineConfig):
-    return load_flows(
-        cfg.data_path,
-        cfg.label_column,
-        cfg.positive_label,
-        feature_columns=cfg.feature_columns,
-        negative_label=cfg.negative_label,
-    )
 
 
 def _cmd_run(args) -> int:
@@ -118,24 +91,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_tune(args) -> int:
     cfg = _build_config(args)
-    from .pipeline import make_cv_objective, stratified_kfold
-    from .bayesopt import optimize
-
-    data = _load(cfg)
-    split = stratified_split(data, cfg.test_fraction, cfg.seed)
-    scaler = fit_minmax(split.train)
-    train_s = scale_dataset(scaler, split.train)
-    folds = stratified_kfold(train_s.labels, cfg.cv_folds, cfg.seed)
-    smote_cfg = SmoteConfig(k=cfg.smote_k, target_ratio=cfg.smote_ratio, seed=cfg.seed)
-    objective = make_cv_objective(train_s, folds, smote_cfg, cfg.seed, cfg.n_threads)
-    trace = optimize(
-        objective,
-        cfg.space,
-        budget=cfg.budget,
-        n_init=cfg.n_init,
-        seed=cfg.seed,
-        n_candidates=cfg.n_candidates,
-    )
+    train_s, _, smote_cfg = prepare(cfg, load_dataset(cfg))
+    trace, _ = search(cfg, train_s, smote_cfg)
     out = args.out or "trace.csv"
     write_trace(trace, out, cfg.space)
     best = trace.best
@@ -152,21 +109,15 @@ def _cmd_eval(args) -> int:
         min_samples_leaf=args.min_samples_leaf,
         max_features_fraction=args.max_features_fraction,
     )
-    data = _load(cfg)
-    split = stratified_split(data, cfg.test_fraction, cfg.seed)
-    scaler = fit_minmax(split.train)
-    train_s = scale_dataset(scaler, split.train)
-    test_s = scale_dataset(scaler, split.test)
-    augmented = smote(train_s, SmoteConfig(cfg.smote_k, cfg.smote_ratio, cfg.seed))
-    tree = fit_tree(augmented, hp, cfg.seed, cfg.n_threads)
-    pred = predict_many(tree, test_s.features)
-    print(metrics_to_text(compute_metrics(confusion(test_s.labels, pred, 1))))
+    train_s, test_s, smote_cfg = prepare(cfg, load_dataset(cfg))
+    tree = fit_tree(smote(train_s, smote_cfg), hp, cfg.seed, cfg.n_threads)
+    print(metrics_to_text(score(tree, test_s)))
     return 0
 
 
 def _cmd_pca(args) -> int:
     cfg = _build_config(args)
-    data = _load(cfg)
+    data = load_dataset(cfg)
     scaler = fit_minmax(data)
     projections, _, explained = pca2(apply_minmax(scaler, data.features))
     write_pca_csv(projections, data.labels, args.out)

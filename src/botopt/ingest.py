@@ -9,6 +9,7 @@ the class-imbalance statistics the rest of the pipeline is built around.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +105,43 @@ def load_flows(
     remaining label value; any other value is an error. Row numbers in error
     messages are 1-based data rows (the header is row 0).
     """
+    return _read_flows(path, label_column, positive_label, feature_columns, negative_label)[0]
+
+
+def sample_flows(
+    path,
+    label_column: str,
+    positive_label: str,
+    n_positive: int,
+    seed: int,
+    feature_columns: list[str] | None = None,
+) -> tuple[Dataset, dict[int, int]]:
+    """Every negative row plus a seeded uniform sample of positive rows.
+
+    Built for extremely skewed flow files: only the sampled rows are
+    materialized, so a multi-million-row file costs two streaming passes and
+    a subsample of memory. Both passes check every row's cell count and
+    label as ``load_flows`` does; only the second parses feature cells, and
+    only those of the sampled rows. Returns the sampled Dataset together
+    with the full-file class counts seen during the scan.
+    """
+    args = (path, label_column, positive_label, feature_columns, None)
+    total_pos = _read_flows(*args, keep=lambda label: False)[1][1]
+    rng = np.random.default_rng(seed)
+    n_take = min(n_positive, total_pos)
+    chosen = set(rng.choice(total_pos, size=n_take, replace=False).tolist()) if n_take else set()
+    ordinal = itertools.count()  # index of each positive row among all positives
+    d, counts = _read_flows(*args, keep=lambda label: label == 0 or next(ordinal) in chosen)
+    if d is None:
+        raise ValueError(f"{path}: no rows survived sampling")
+    return d, counts
+
+
+def _read_flows(path, label_column, positive_label, feature_columns, negative_label, keep=None):
+    """One pass over a flow file: (Dataset of the kept rows or None,
+    full-file class counts). ``keep(label)`` is asked once per row, in file
+    order, after the row's cell count and label are checked; only kept rows
+    have their feature cells parsed."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -115,42 +153,52 @@ def load_flows(
         )
         n_header = len(header)
 
+        negative = negative_label
+        counts = {0: 0, 1: 0}
         rows: list[list[float]] = []
         labels: list[int] = []
-        inferred_negative = negative_label
+        kept: list[int] = []  # file row numbers of the kept rows, when some are skipped
         for rownum, rec in enumerate(reader, start=1):
             if len(rec) != n_header:
                 raise ValueError(
                     f"{path}: row {rownum} has {len(rec)} cells, header has {n_header}"
                 )
-            vals = []
-            for name, pos in zip(feat_names, feat_pos):
-                cell = rec[pos].strip()
-                if not cell:
-                    raise ValueError(f"{path}: missing value at row {rownum}, column {name!r}")
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric value {cell!r} at row {rownum}, column {name!r}"
-                    ) from None
-            raw_label = rec[label_pos].strip()
-            if raw_label == positive_label:
-                labels.append(1)
+            raw = rec[label_pos].strip()
+            if raw == positive_label:
+                label = 1
             else:
-                if inferred_negative is None:
-                    inferred_negative = raw_label
-                if raw_label != inferred_negative:
+                if negative is None:
+                    negative = raw
+                if raw != negative:
                     raise ValueError(
-                        f"{path}: unknown label {raw_label!r} at row {rownum} "
-                        f"(expected {positive_label!r} or {inferred_negative!r})"
+                        f"{path}: unknown label {raw!r} at row {rownum}, column {label_column!r} "
+                        f"(expected {positive_label!r} or {negative!r})"
                     )
-                labels.append(0)
-            rows.append(vals)
+                label = 0
+            counts[label] += 1
+            if keep is not None:
+                if not keep(label):
+                    continue
+                kept.append(rownum)
+            try:
+                rows.append([float(rec[p]) for p in feat_pos])
+            except ValueError:
+                _raise_bad_cell(path, rownum, rec, feat_names, feat_pos)
+            labels.append(label)
 
-    if not rows:
+    if not counts[0] + counts[1]:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.array(rows, dtype=np.float64), np.array(labels), tuple(feat_names))
+    if not rows:
+        return None, counts
+    features = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(features)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"{path}: non-finite value {float(features[i, j])} at row "
+            f"{kept[i] if kept else i + 1}, column {feat_names[j]!r}"
+        )
+    return Dataset(features, np.array(labels), tuple(feat_names)), counts
 
 
 def _header_layout(header, label_column, feature_columns, path):
@@ -169,76 +217,17 @@ def _header_layout(header, label_column, feature_columns, path):
     return header.index(label_column), feat_names, [header.index(c) for c in feat_names]
 
 
-def sample_flows(
-    path,
-    label_column: str,
-    positive_label: str,
-    n_positive: int,
-    seed: int,
-    feature_columns: list[str] | None = None,
-) -> tuple[Dataset, dict[int, int]]:
-    """Every negative row plus a seeded uniform sample of positive rows.
-
-    Built for extremely skewed flow files: only the sampled rows are
-    materialized, so a multi-million-row file costs two streaming passes and
-    a subsample of memory. Returns the sampled Dataset together with the
-    full-file class counts seen during the scan.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _raise_bad_cell(path, rownum, rec, feat_names, feat_pos):
+    for name, pos in zip(feat_names, feat_pos):
+        cell = rec[pos].strip()
+        if not cell:
+            raise ValueError(f"{path}: missing value at row {rownum}, column {name!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        label_pos, feat_names, feat_pos = _header_layout(
-            header, label_column, feature_columns, path
-        )
-        n_header = len(header)
-        total_pos = 0
-        for rownum, rec in enumerate(reader, start=1):
-            if len(rec) != n_header:
-                raise ValueError(
-                    f"{path}: row {rownum} has {len(rec)} cells, header has {n_header}"
-                )
-            total_pos += rec[label_pos].strip() == positive_label
-
-    rng = np.random.default_rng(seed)
-    n_take = min(n_positive, total_pos)
-    chosen = set(rng.choice(total_pos, size=n_take, replace=False).tolist()) if n_take else set()
-
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    total_neg = 0
-    ordinal = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for rownum, rec in enumerate(reader, start=1):
-            positive = rec[label_pos].strip() == positive_label
-            if positive:
-                keep = ordinal in chosen
-                ordinal += 1
-            else:
-                keep = True
-                total_neg += 1
-            if not keep:
-                continue
-            vals = []
-            for name, pos in zip(feat_names, feat_pos):
-                cell = rec[pos].strip()
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric value {cell!r} at row {rownum}, column {name!r}"
-                    ) from None
-            rows.append(vals)
-            labels.append(1 if positive else 0)
-
-    if not rows:
-        raise ValueError(f"{path}: no rows survived sampling")
-    d = Dataset(np.array(rows, dtype=np.float64), np.array(labels), tuple(feat_names))
-    return d, {0: total_neg, 1: total_pos}
+            float(cell)
+        except ValueError:
+            raise ValueError(
+                f"{path}: non-numeric value {cell!r} at row {rownum}, column {name!r}"
+            ) from None
 
 
 def write_flows(

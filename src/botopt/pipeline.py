@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -24,7 +24,7 @@ from .bayesopt import Dim, SearchSpace, Trace, default_dt_space, optimize
 from .dtree import HyperParams, TreeModel, fit_tree, predict_many
 from .ingest import Dataset, SplitPair, class_counts, load_flows, stratified_split
 from .metrics import MetricsReport, compute_metrics, confusion, metrics_to_text
-from .preprocess import Scaler, SmoteConfig, fit_minmax, scale_dataset, smote
+from .preprocess import SmoteConfig, fit_minmax, scale_dataset, smote
 
 __all__ = [
     "PipelineConfig",
@@ -32,12 +32,14 @@ __all__ = [
     "PipelineError",
     "DEFAULT_HP",
     "PUBLISHED_REFERENCE",
+    "load_dataset",
+    "prepare",
+    "search",
+    "score",
     "run_pipeline",
     "benchmark_scaling",
     "stratified_kfold",
     "make_cv_objective",
-    "hyperparams_from_config",
-    "config_from_hyperparams",
     "report_to_text",
 ]
 
@@ -150,24 +152,6 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     return [np.sort(np.concatenate(parts)) for parts in folds]
 
 
-def hyperparams_from_config(config: dict) -> HyperParams:
-    return HyperParams(
-        max_depth=int(config["max_depth"]),
-        min_samples_split=int(config["min_samples_split"]),
-        min_samples_leaf=int(config["min_samples_leaf"]),
-        max_features_fraction=float(config["max_features_fraction"]),
-    )
-
-
-def config_from_hyperparams(hp: HyperParams) -> dict:
-    return {
-        "max_depth": hp.max_depth,
-        "min_samples_split": hp.min_samples_split,
-        "min_samples_leaf": hp.min_samples_leaf,
-        "max_features_fraction": hp.max_features_fraction,
-    }
-
-
 def make_cv_objective(
     train: Dataset,
     folds: list[np.ndarray],
@@ -190,12 +174,11 @@ def make_cv_objective(
         prepared.append((aug, train.take(val_idx)))
 
     def objective(config: dict) -> float:
-        hp = hyperparams_from_config(config)
-        scores = []
-        for j, (aug, val) in enumerate(prepared):
-            tree = fit_tree(aug, hp, seed=tree_seed + j, n_threads=n_threads)
-            pred = predict_many(tree, val.features)
-            scores.append(compute_metrics(confusion(val.labels, pred, 1)).macro_f_score)
+        hp = HyperParams(**config)
+        scores = [
+            score(fit_tree(aug, hp, seed=tree_seed + j, n_threads=n_threads), val).macro_f_score
+            for j, (aug, val) in enumerate(prepared)
+        ]
         return float(np.mean(scores))
 
     return objective
@@ -209,80 +192,94 @@ def _assert_no_leakage(split: SplitPair, total_rows: int) -> None:
         raise AssertionError("train/test split does not cover the source dataset")
 
 
+def score(tree: TreeModel, d: Dataset) -> MetricsReport:
+    """Metrics of the tree's predictions on a labeled dataset."""
+    return compute_metrics(confusion(d.labels, predict_many(tree, d.features), 1))
+
+
+def load_dataset(cfg: PipelineConfig) -> Dataset:
+    """The flow file the config names."""
+    if cfg.data_path is None:
+        raise ValueError("no dataset given and config.data_path is unset")
+    return load_flows(
+        cfg.data_path,
+        cfg.label_column,
+        cfg.positive_label,
+        feature_columns=cfg.feature_columns,
+        negative_label=cfg.negative_label,
+    )
+
+
+def prepare(
+    cfg: PipelineConfig, data: Dataset, clock: _StageClock | None = None
+) -> tuple[Dataset, Dataset, SmoteConfig]:
+    """Stratified split, leakage check and min-max scaling fit on the
+    training side: (scaled train, scaled test, the run's SMOTE settings).
+    Records the "split" and "normalize" stage timings on ``clock``."""
+    clock = clock or _StageClock()
+    split = clock.run("split", lambda: stratified_split(data, cfg.test_fraction, cfg.seed))
+    _assert_no_leakage(split, data.n_rows)
+
+    def normalize() -> tuple[Dataset, Dataset]:
+        scaler = fit_minmax(split.train)
+        return scale_dataset(scaler, split.train), scale_dataset(scaler, split.test)
+
+    train_s, test_s = clock.run("normalize", normalize)
+    return train_s, test_s, SmoteConfig(k=cfg.smote_k, target_ratio=cfg.smote_ratio, seed=cfg.seed)
+
+
+def search(
+    cfg: PipelineConfig, train: Dataset, smote_cfg: SmoteConfig
+) -> tuple[Trace, Callable[[dict], float]]:
+    """Hyperparameter search against the CV objective on ``train``: the
+    trace and the objective, so that callers can score other settings."""
+    folds = stratified_kfold(train.labels, cfg.cv_folds, cfg.seed)
+    objective = make_cv_objective(train, folds, smote_cfg, cfg.seed, cfg.n_threads)
+    trace = optimize(
+        objective,
+        cfg.space,
+        budget=cfg.budget,
+        n_init=cfg.n_init,
+        seed=cfg.seed,
+        n_candidates=cfg.n_candidates,
+    )
+    return trace, objective
+
+
 def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> RunReport:
     """Execute the full pipeline; deterministic given (config, seed) apart
     from the recorded wall-clock timings."""
     clock = _StageClock()
-
-    def load() -> Dataset:
-        if dataset is not None:
-            return dataset
-        if cfg.data_path is None:
-            raise ValueError("no dataset given and config.data_path is unset")
-        return load_flows(
-            cfg.data_path,
-            cfg.label_column,
-            cfg.positive_label,
-            feature_columns=cfg.feature_columns,
-            negative_label=cfg.negative_label,
-        )
-
-    data = clock.run("load", load)
-    split = clock.run("split", lambda: stratified_split(data, cfg.test_fraction, cfg.seed))
-    _assert_no_leakage(split, data.n_rows)
-
-    def normalize() -> tuple[Scaler, Dataset, Dataset]:
-        scaler = fit_minmax(split.train)
-        return scaler, scale_dataset(scaler, split.train), scale_dataset(scaler, split.test)
-
-    _, train_s, test_s = clock.run("normalize", normalize)
-
-    smote_cfg = SmoteConfig(k=cfg.smote_k, target_ratio=cfg.smote_ratio, seed=cfg.seed)
+    data = clock.run("load", lambda: dataset if dataset is not None else load_dataset(cfg))
+    train_s, test_s, smote_cfg = prepare(cfg, data, clock)
 
     def tune() -> tuple[Trace, float]:
-        folds = stratified_kfold(train_s.labels, cfg.cv_folds, cfg.seed)
-        objective = make_cv_objective(train_s, folds, smote_cfg, cfg.seed, cfg.n_threads)
-        trace = optimize(
-            objective,
-            cfg.space,
-            budget=cfg.budget,
-            n_init=cfg.n_init,
-            seed=cfg.seed,
-            n_candidates=cfg.n_candidates,
-        )
+        trace, objective = search(cfg, train_s, smote_cfg)
         # the default setting is always a candidate: with a small budget the
         # search may never sample anything that scores as well, and selecting
         # a config that is known-worse on the tuning objective would make the
         # "tuned" arm regress for no reason
-        default_cv = objective(config_from_hyperparams(DEFAULT_HP))
-        return trace, default_cv
+        return trace, objective(asdict(DEFAULT_HP))
 
     trace, default_cv = clock.run("tune", tune)
-    if default_cv >= trace.best.objective:
-        best_hp = DEFAULT_HP
-    else:
-        best_hp = hyperparams_from_config(trace.best.config)
+    best_hp = DEFAULT_HP if default_cv >= trace.best.objective else HyperParams(**trace.best.config)
 
     counts_before = class_counts(train_s)
     augmented = clock.run("oversample", lambda: smote(train_s, smote_cfg))
     counts_after = class_counts(augmented)
 
-    optimized_tree = clock.run(
-        "fit_optimized", lambda: fit_tree(augmented, best_hp, cfg.seed, cfg.n_threads)
-    )
+    def fit(hp: HyperParams) -> TreeModel:
+        return fit_tree(augmented, hp, cfg.seed, cfg.n_threads)
+
+    optimized_tree = clock.run("fit_optimized", lambda: fit(best_hp))
+    # the same data, settings and seed grow the same tree, so a winning
+    # default is not grown twice
     baseline_tree = clock.run(
-        "fit_baseline", lambda: fit_tree(augmented, DEFAULT_HP, cfg.seed, cfg.n_threads)
+        "fit_baseline", lambda: optimized_tree if best_hp == DEFAULT_HP else fit(DEFAULT_HP)
     )
-
-    def evaluate() -> tuple[MetricsReport, MetricsReport]:
-        pred_opt = predict_many(optimized_tree, test_s.features)
-        pred_base = predict_many(baseline_tree, test_s.features)
-        return (
-            compute_metrics(confusion(test_s.labels, pred_opt, 1)),
-            compute_metrics(confusion(test_s.labels, pred_base, 1)),
-        )
-
-    optimized_metrics, baseline_metrics = clock.run("evaluate", evaluate)
+    optimized_metrics, baseline_metrics = clock.run(
+        "evaluate", lambda: (score(optimized_tree, test_s), score(baseline_tree, test_s))
+    )
 
     return RunReport(
         seed=cfg.seed,
@@ -313,31 +310,16 @@ def benchmark_scaling(
     if not sizes:
         return []
     if dataset is None:
-        if cfg.data_path is None:
-            raise ValueError("no dataset given and config.data_path is unset")
-        dataset = load_flows(
-            cfg.data_path,
-            cfg.label_column,
-            cfg.positive_label,
-            feature_columns=cfg.feature_columns,
-            negative_label=cfg.negative_label,
-        )
+        dataset = load_dataset(cfg)
 
     rows: list[dict] = []
-    smote_cfg = SmoteConfig(k=cfg.smote_k, target_ratio=cfg.smote_ratio, seed=cfg.seed)
     for m in sizes:
         if m < dataset.n_rows:
             sub = stratified_split(dataset, m / dataset.n_rows, cfg.seed).test
         else:
             sub = dataset
         clock = _StageClock()
-        split = clock.run("split", lambda: stratified_split(sub, cfg.test_fraction, cfg.seed))
-
-        def normalize() -> tuple[Dataset, Dataset]:
-            scaler = fit_minmax(split.train)
-            return scale_dataset(scaler, split.train), scale_dataset(scaler, split.test)
-
-        train_s, test_s = clock.run("normalize", normalize)
+        train_s, test_s, smote_cfg = prepare(cfg, sub, clock)
         augmented = clock.run("oversample", lambda: smote(train_s, smote_cfg))
         tree = clock.run("tree_fit", lambda: fit_tree(augmented, DEFAULT_HP, cfg.seed, cfg.n_threads))
         clock.run("tree_predict", lambda: predict_many(tree, test_s.features))

@@ -118,12 +118,29 @@ def smote_audit(d: Dataset, cfg: SmoteConfig) -> tuple[Dataset, list[SmoteRecord
     with no records. Draw protocol (fixed by sample index): seed-point
     choices, then neighbor ranks, then interpolation coefficients.
     """
+    out, seeds, neighbors, lams = _oversample(d, cfg)
+    records = [SmoteRecord(*r) for r in zip(seeds.tolist(), neighbors.tolist(), lams.tolist())]
+    return out, records
+
+
+def smote(d: Dataset, cfg: SmoteConfig, log_path=None) -> Dataset:
+    """Augmented dataset; optionally writes the provenance log to log_path."""
+    if log_path is None:
+        return _oversample(d, cfg)[0]
+    out, records = smote_audit(d, cfg)
+    write_smote_log(records, log_path)
+    return out
+
+
+def _oversample(d: Dataset, cfg: SmoteConfig):
+    """smote_audit's work with provenance as arrays: (augmented dataset,
+    seed row, neighbor row and coefficient of each synthetic row)."""
     counts = class_counts(d)
     minority, n_min, n_maj = _minority_class(counts)
     target = ceil(cfg.target_ratio * n_maj)
     n_syn = target - n_min
     if n_syn <= 0:
-        return d, []
+        return d, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0)
 
     min_idx = np.flatnonzero(d.labels == minority)
     pts = d.features[min_idx]
@@ -132,7 +149,7 @@ def smote_audit(d: Dataset, cfg: SmoteConfig) -> tuple[Dataset, list[SmoteRecord
     if n_min == 1:
         warnings.warn(
             "single minority instance: no neighbors exist, emitting exact duplicates",
-            stacklevel=2,
+            stacklevel=3,
         )
         k_eff = 1
         neighbor_table = np.zeros((1, 1), dtype=np.intp)
@@ -152,21 +169,10 @@ def smote_audit(d: Dataset, cfg: SmoteConfig) -> tuple[Dataset, list[SmoteRecord
     base = pts[seed_choices]
     synth = base + lams[:, None] * (pts[nb_choices] - base)
 
-    records = [
-        SmoteRecord(int(min_idx[s]), int(min_idx[n]), float(l))
-        for s, n, l in zip(seed_choices, nb_choices, lams)
-    ]
     features = np.vstack([d.features, synth])
     labels = np.concatenate([d.labels, np.full(n_syn, minority, dtype=np.int64)])
-    return Dataset(features, labels, d.feature_names), records
-
-
-def smote(d: Dataset, cfg: SmoteConfig, log_path=None) -> Dataset:
-    """Augmented dataset; optionally writes the provenance log to log_path."""
-    out, records = smote_audit(d, cfg)
-    if log_path is not None:
-        write_smote_log(records, log_path)
-    return out
+    out = Dataset(features, labels, d.feature_names)
+    return out, min_idx[seed_choices], min_idx[nb_choices], lams
 
 
 def write_smote_log(records: list[SmoteRecord], path) -> None:

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from botopt.bayesopt import write_trace
 from botopt.cli import main
 from botopt.ingest import write_flows
+from botopt.metrics import metrics_to_text
+from botopt.pipeline import PipelineConfig, run_pipeline
 from botopt.synthetic import gaussian_clusters
 
 
@@ -57,6 +60,25 @@ def test_eval_prints_metrics(flows_csv, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "accuracy" in out and "macro_f_score" in out
+
+
+def test_tune_and_eval_agree_with_run_pipeline(flows_csv, tmp_path, capsys):
+    # the verbs share run_pipeline's preparation and search: tune writes its
+    # trace, and eval with the default tree flags grows its baseline tree
+    cfg = PipelineConfig(
+        seed=1, data_path=flows_csv, budget=5, n_init=4, cv_folds=2, smote_k=2, n_candidates=100
+    )
+    report = run_pipeline(cfg)
+    expected = tmp_path / "expected.csv"
+    write_trace(report.trace, expected, cfg.space)
+
+    tuned = tmp_path / "tuned.csv"
+    assert main(["tune", "--data", flows_csv, "--seed", "1", "--out", str(tuned), *FAST]) == 0
+    assert tuned.read_bytes() == expected.read_bytes()
+    capsys.readouterr()
+
+    assert main(["eval", "--data", flows_csv, "--seed", "1", "--smote-k", "2"]) == 0
+    assert capsys.readouterr().out == metrics_to_text(report.baseline_metrics) + "\n"
 
 
 def test_pca_exports_projection(flows_csv, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,48 @@ def test_sample_flows_deterministic_and_caps_at_total(tmp_path):
     np.testing.assert_array_equal(a.features, b.features)
     everything, counts = sample_flows(p, "label", "attack", n_positive=10_000, seed=0)
     assert class_counts(everything) == counts == {0: 5, 1: 30}
+
+
+def _load(path):
+    return load_flows(path, "label", "attack")
+
+
+def _sample(path):
+    return sample_flows(path, "label", "attack", n_positive=10, seed=0)[0]
+
+
+@pytest.mark.parametrize("loader", [_load, _sample], ids=["load_flows", "sample_flows"])
+@pytest.mark.parametrize(
+    "bad_row, message, column",
+    [
+        ("7,8,bogus", "unknown label 'bogus'", "label"),
+        ("7,nan,normal", "non-finite value nan", "bytes"),
+        ("-inf,8,normal", "non-finite value -inf", "rate"),
+        ("7,,normal", "missing value", "bytes"),
+        ("7, ,attack", "missing value", "bytes"),
+        ("7,1e999,attack", "non-finite value inf", "bytes"),
+    ],
+)
+def test_loaders_reject_bad_rows_naming_path_row_and_column(
+    tmp_path, loader, bad_row, message, column
+):
+    # the bad row is data row 3, so a 0-based or array-relative index shows
+    p = write_csv(
+        tmp_path / "flows.csv",
+        f"rate,bytes,label\n1,2,normal\n3,4,attack\n{bad_row}\n5,6,attack\n",
+    )
+    expected = f"{re.escape(str(p))}: {re.escape(message)} at row 3, column '{column}'"
+    with pytest.raises(ValueError, match=expected):
+        loader(p)
+
+
+def test_sample_flows_names_the_file_row_of_a_bad_sampled_row(tmp_path):
+    # most positives are skipped, so the bad row's position among the kept
+    # rows is not its row in the file
+    rows = "".join(f"{i},1,attack\n" for i in range(5))
+    p = write_csv(tmp_path / "flows.csv", f"rate,bytes,label\n{rows}1,2,normal\n3,inf,normal\n")
+    with pytest.raises(ValueError, match=r"non-finite value inf at row 7, column 'bytes'"):
+        sample_flows(p, "label", "attack", n_positive=1, seed=0)
 
 
 def test_dataset_rejects_non_finite():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from botopt.bayesopt import Dim, SearchSpace
+from botopt.dtree import HyperParams, dump_tree, fit_tree
 from botopt.ingest import SplitPair, stratified_split
 from botopt.pipeline import (
     DEFAULT_HP,
@@ -9,13 +10,13 @@ from botopt.pipeline import (
     PipelineError,
     _assert_no_leakage,
     benchmark_scaling,
-    hyperparams_from_config,
     make_cv_objective,
+    prepare,
     report_to_text,
     run_pipeline,
     stratified_kfold,
 )
-from botopt.preprocess import SmoteConfig, fit_minmax, scale_dataset
+from botopt.preprocess import SmoteConfig, fit_minmax, scale_dataset, smote
 from botopt.synthetic import gaussian_clusters
 
 
@@ -53,7 +54,7 @@ def test_run_report_is_complete(small_report):
     if r.default_cv_objective >= r.trace.best.objective:
         assert r.best_hp == DEFAULT_HP
     else:
-        assert r.best_hp == hyperparams_from_config(r.trace.best.config)
+        assert r.best_hp == HyperParams(**r.trace.best.config)
     assert 0.0 <= r.default_cv_objective <= 1.0
     assert set(r.timings) >= {
         "load", "split", "normalize", "tune", "oversample",
@@ -98,6 +99,21 @@ def test_default_config_wins_when_search_space_is_hopeless(small_data):
     assert r.default_cv_objective >= r.trace.best.objective
     assert r.best_hp == DEFAULT_HP
     assert r.optimized_metrics == r.baseline_metrics
+
+
+def test_baseline_tree_reused_only_when_default_wins(small_data, small_report):
+    # seed 7 keeps the default, so its tree is the baseline tree, and it is
+    # the tree a separate fit would grow
+    assert small_report.best_hp == DEFAULT_HP
+    assert small_report.baseline_tree is small_report.optimized_tree
+    assert "fit_baseline" in small_report.timings
+    train_s, _, smote_cfg = prepare(small_config(), small_data)
+    regrown = fit_tree(smote(train_s, smote_cfg), DEFAULT_HP, seed=7)
+    assert dump_tree(regrown) == dump_tree(small_report.baseline_tree)
+    # seed 4 picks a sampled setting, so the baseline is grown on its own
+    tuned = run_pipeline(small_config(seed=4), dataset=small_data)
+    assert tuned.best_hp != DEFAULT_HP
+    assert tuned.baseline_tree is not tuned.optimized_tree
 
 
 def test_baseline_uses_default_hyperparameters(small_report):
