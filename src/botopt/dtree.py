@@ -1,5 +1,14 @@
 """Binary CART classifier with exhaustive threshold search.
 
+Each feature column of a training matrix is sorted once (SLIQ, Mehta,
+Agrawal & Rissanen 1996): every node owns a contiguous segment of
+each feature's row order, and a split stable-partitions those segments so
+that both children keep their rows in ascending feature order. The split
+search at a node therefore scans already-sorted rows and never sorts. A
+training set that is fit many times, such as a CV fold across search
+trials, can share one sort between its fits. Trees grow from an explicit
+stack, so their depth is not bounded by Python's recursion limit.
+
 Split candidates are the midpoints of consecutive distinct sorted values of
 each allowed feature. A candidate's quality is the Gini impurity decrease
 
@@ -101,45 +110,60 @@ def gini(counts) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-def _feature_candidates(x, y_onehot, n, min_leaf, sum_p2, feature):
-    """Band of near-best candidates for one feature.
+def _presort(X: np.ndarray) -> np.ndarray:
+    """Row order of each feature column, (n_features, n_rows).
+
+    Equal values may come in any order: the split search reads class counts
+    only where the value changes, so the tree does not depend on it, and the
+    default sort is several times faster than kind="stable".
+    """
+    return np.argsort(np.ascontiguousarray(X.T), axis=1)
+
+
+def _onehot(y: np.ndarray, n_classes: int) -> np.ndarray:
+    """Class-major float64 indicator matrix, (n_classes, n_rows)."""
+    return np.ascontiguousarray(np.eye(n_classes)[y].T)
+
+
+def _feature_candidates(x, onehot, rows, min_leaf, sum_p2, feature):
+    """Band of near-best candidates for one feature, given a node's rows in
+    ascending order of that feature's values x and the class-major one-hot
+    labels (n_classes, n_rows) as float64.
 
     Returns (feature_best_float, [(dec, feature, threshold, nl, counts_left)]),
     or None when the feature admits no positive-decrease split.
     """
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    cum = np.cumsum(y_onehot[order], axis=0)
-
+    xs = x[rows]
+    n = xs.shape[0]
     cut = np.flatnonzero(xs[:-1] != xs[1:])  # left part = sorted rows 0..cut
+    # both children keep min_leaf rows: min_leaf - 1 <= cut < n - min_leaf
+    cut = cut[np.searchsorted(cut, min_leaf - 1) : np.searchsorted(cut, n - min_leaf)]
     if cut.size == 0:
         return None
     nl = cut + 1
-    keep = (nl >= min_leaf) & (n - nl >= min_leaf)
-    cut, nl = cut[keep], nl[keep]
-    if cut.size == 0:
-        return None
 
-    cl = cum[cut].astype(np.float64)
-    cr = cum[-1].astype(np.float64) - cl
+    # class counts and their sums of squares are integers below 2**53, so
+    # they are exact in float64 whatever the summation order
+    cum = np.cumsum(np.take(onehot, rows, axis=1), axis=1)
+    cl = np.take(cum, cut, axis=1)  # np.take: far faster than cum[:, cut]
+    cr = cum[:, -1:] - cl
     nlf = nl.astype(np.float64)
     nrf = n - nlf
-    sl = np.einsum("ij,ij->i", cl, cl)
-    sr = np.einsum("ij,ij->i", cr, cr)
+    sl = np.einsum("ij,ij->j", cl, cl)
+    sr = np.einsum("ij,ij->j", cr, cr)
     dec = (n * nrf * sl + n * nlf * sr - nlf * nrf * sum_p2) / (n * n * nlf * nrf)
 
-    positive = dec > 0.0
-    if not np.any(positive):
+    fbest = float(dec.max())
+    if not fbest > 0.0:
         return None
-    fbest = float(dec[positive].max())
-    band = _TIE_BAND * max(1.0, fbest)
-    sel = np.flatnonzero(positive & (dec >= fbest - band))
+    floor = fbest - _TIE_BAND * max(1.0, fbest)
+    sel = np.flatnonzero(dec >= floor if floor > 0.0 else dec > 0.0)
     thresholds = (xs[cut[sel]] + xs[cut[sel] + 1]) / 2.0
-    rows = [
-        (float(dec[i]), feature, float(t), int(nl[i]), tuple(int(v) for v in cum[cut[i]]))
+    candidates = [
+        (float(dec[i]), feature, float(t), int(nl[i]), tuple(int(v) for v in cl[:, i]))
         for i, t in zip(sel, thresholds)
     ]
-    return fbest, rows
+    return fbest, candidates
 
 
 def _exact_decrease(n: int, nl: int, counts_left, counts_parent) -> Fraction:
@@ -150,31 +174,15 @@ def _exact_decrease(n: int, nl: int, counts_left, counts_parent) -> Fraction:
     return Fraction(n * nr * sl + n * nl * sr - nl * nr * sp, n * n * nl * nr)
 
 
-def best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    hp: HyperParams,
-    feature_subset,
-    n_classes: int | None = None,
-    pool: ThreadPoolExecutor | None = None,
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, impurity decrease) over the allowed features,
-    or None when no split has a strictly positive decrease or both children
-    cannot reach min_samples_leaf."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    n = y.shape[0]
-    if n < hp.min_samples_split:
-        return None
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    onehot = np.zeros((n, n_classes), dtype=np.int64)
-    onehot[np.arange(n), y] = 1
-    parent = onehot.sum(axis=0)
-    sum_p2 = float(np.sum(parent.astype(np.float64) ** 2))
+def _node_split(columns, onehot, order, features, counts, min_leaf, pool):
+    """Best (feature, threshold, impurity decrease) of one node, or None.
 
-    features = sorted(int(f) for f in feature_subset)
-    args = [(X[:, f], onehot, n, hp.min_samples_leaf, sum_p2, f) for f in features]
+    ``order[f]`` lists the node's rows in ascending order of ``columns[f]``;
+    ``counts`` are the node's class counts; ``features`` is ascending.
+    """
+    n = order.shape[1]
+    sum_p2 = float(np.sum(counts.astype(np.float64) ** 2))
+    args = [(columns[f], onehot, order[f], min_leaf, sum_p2, f) for f in features]
     if pool is not None:
         results = list(pool.map(lambda a: _feature_candidates(*a), args))
     else:
@@ -197,7 +205,7 @@ def best_split(
         dec, f, thr, _, _ = finalists[0]
         return f, thr, dec
 
-    parent_counts = tuple(int(v) for v in parent)
+    parent_counts = tuple(int(v) for v in counts)
     best = None
     best_exact = None
     for dec, f, thr, nl, cl in finalists:  # already in (feature, threshold) order
@@ -209,8 +217,32 @@ def best_split(
     return best
 
 
+def best_split(
+    X: np.ndarray,
+    y: np.ndarray,
+    hp: HyperParams,
+    feature_subset,
+    n_classes: int | None = None,
+    pool: ThreadPoolExecutor | None = None,
+) -> tuple[int, float, float] | None:
+    """Best (feature, threshold, impurity decrease) over the allowed features,
+    or None when no split has a strictly positive decrease or both children
+    cannot reach min_samples_leaf."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape[0] < hp.min_samples_split:
+        return None
+    if n_classes is None:
+        n_classes = int(y.max()) + 1
+    counts = np.bincount(y, minlength=n_classes)
+    features = sorted(int(f) for f in feature_subset)
+    return _node_split(
+        X.T, _onehot(y, n_classes), _presort(X), features, counts, hp.min_samples_leaf, pool
+    )
+
+
 def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> TreeModel:
-    """Grow a tree by recursive greedy splitting.
+    """Grow a tree by greedy splitting.
 
     A node becomes a leaf when it is at max_depth, has fewer than
     min_samples_split rows, is pure, or admits no positive-decrease split.
@@ -218,37 +250,75 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
     drawn from one seeded generator in preorder (node, left subtree, right
     subtree), so the tree is a pure function of (data, hp, seed).
     """
+    return _fit_presorted(train, _presort(train.features), hp, seed, n_threads)
+
+
+def _fit_presorted(
+    train: Dataset, order: np.ndarray, hp: HyperParams, seed: int, n_threads: int
+) -> TreeModel:
+    """fit_tree given ``_presort(train.features)``, which is left unchanged,
+    so that several fits on one training set share one sort."""
     X, y = train.features, train.labels
-    n_features = X.shape[1]
+    n_rows, n_features = X.shape
     n_classes = max(2, int(y.max()) + 1)
     m_feat = ceil(hp.max_features_fraction * n_features)
     rng = np.random.default_rng(seed)
+    columns = np.ascontiguousarray(X.T)
+    onehot = _onehot(y, n_classes)
+    # each node owns the columns [start, end) of every feature's row order
+    order = order.copy()
+    goes_left = np.zeros(n_rows, dtype=bool)
     pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
 
-    def grow(idx: np.ndarray, depth: int) -> tuple[Leaf | Split, int]:
-        counts = np.bincount(y[idx], minlength=n_classes)
-        counts.flags.writeable = False
-        leaf = Leaf(counts=counts, majority=int(np.argmax(counts)))
-        if depth >= hp.max_depth or idx.size < hp.min_samples_split or counts.max() == idx.size:
-            return leaf, depth
-        subset = np.sort(rng.choice(n_features, size=m_feat, replace=False))
-        found = best_split(X[idx], y[idx], hp, subset, n_classes, pool)
-        if found is None:
-            return leaf, depth
-        f, thr, _ = found
-        mask = X[idx, f] <= thr
-        if not 0 < int(mask.sum()) < idx.size:  # midpoint rounded onto a data value
-            return leaf, depth
-        left, dl = grow(idx[mask], depth + 1)
-        right, dr = grow(idx[~mask], depth + 1)
-        return Split(feature=f, threshold=thr, left=left, right=right), max(dl, dr)
-
+    # nodes in preorder: a Leaf, or the (feature, threshold) of a split whose
+    # left subtree follows it and whose right subtree follows that
+    preorder: list[Leaf | tuple[int, float]] = []
+    depth = 0
+    stack = [(0, n_rows, 0)]  # (start, end, depth); the left child is popped first
     try:
-        root, depth = grow(np.arange(y.shape[0]), 0)
+        while stack:
+            start, end, level = stack.pop()
+            n = end - start
+            counts = np.bincount(y[order[0, start:end]], minlength=n_classes)
+            found = None
+            if level < hp.max_depth and n >= hp.min_samples_split and counts.max() < n:
+                subset = np.sort(rng.choice(n_features, size=m_feat, replace=False)).tolist()
+                segment = order[:, start:end]
+                found = _node_split(
+                    columns, onehot, segment, subset, counts, hp.min_samples_leaf, pool
+                )
+            if found is not None:
+                f, thr, _ = found
+                rows = segment[f]
+                n_left = int(np.searchsorted(columns[f][rows], thr, side="right"))
+                if 0 < n_left < n:  # else the midpoint rounded onto a data value
+                    goes_left[rows[:n_left]] = True
+                    goes_left[rows[n_left:]] = False
+                    # stable partition keeps each feature's order within both children
+                    mask = np.take(goes_left, segment).ravel()
+                    left = np.compress(mask, segment).reshape(n_features, n_left)
+                    right = np.compress(~mask, segment).reshape(n_features, n - n_left)
+                    segment[:, :n_left] = left
+                    segment[:, n_left:] = right
+                    preorder.append((f, thr))
+                    stack.append((start + n_left, end, level + 1))
+                    stack.append((start, start + n_left, level + 1))
+                    continue
+            counts.flags.writeable = False
+            preorder.append(Leaf(counts=counts, majority=int(np.argmax(counts))))
+            depth = max(depth, level)
     finally:
         if pool is not None:
             pool.shutdown()
-    return TreeModel(root=root, n_features=n_features, n_classes=n_classes, depth=depth, hp=hp)
+
+    built: list[Leaf | Split] = []  # subtrees of the reversed preorder; the last is leftmost
+    for node in reversed(preorder):
+        if isinstance(node, Leaf):
+            built.append(node)
+        else:
+            left = built.pop()
+            built.append(Split(feature=node[0], threshold=node[1], left=left, right=built.pop()))
+    return TreeModel(root=built[0], n_features=n_features, n_classes=n_classes, depth=depth, hp=hp)
 
 
 def predict(t: TreeModel, row) -> int:

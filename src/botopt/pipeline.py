@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .bayesopt import Dim, SearchSpace, Trace, default_dt_space, optimize
-from .dtree import HyperParams, TreeModel, fit_tree, predict_many
+from .dtree import HyperParams, TreeModel, _fit_presorted, _presort, fit_tree, predict_many
 from .ingest import Dataset, SplitPair, class_counts, load_flows, stratified_split
 from .metrics import MetricsReport, compute_metrics, confusion, metrics_to_text
 from .preprocess import SmoteConfig, fit_minmax, scale_dataset, smote
@@ -161,23 +161,24 @@ def make_cv_objective(
 ) -> Callable[[dict], float]:
     """Mean macro F-score over stratified CV folds as a tuning objective.
 
-    Each fold's training part is oversampled once up front (the augmentation
-    does not depend on the candidate hyperparameters); validation folds stay
-    untouched so synthetic rows never leak into scoring.
+    Each fold's training part is oversampled and its feature columns sorted
+    once up front (neither depends on the candidate hyperparameters), so all
+    trials share them; validation folds stay untouched so synthetic rows
+    never leak into scoring.
     """
     all_idx = np.arange(train.n_rows)
-    prepared: list[tuple[Dataset, Dataset]] = []
+    prepared: list[tuple[Dataset, np.ndarray, Dataset]] = []
     for j, val_idx in enumerate(folds):
         tr_idx = np.setdiff1d(all_idx, val_idx, assume_unique=False)
         fold_train = train.take(tr_idx)
         aug = smote(fold_train, replace(smote_cfg, seed=smote_cfg.seed + j))
-        prepared.append((aug, train.take(val_idx)))
+        prepared.append((aug, _presort(aug.features), train.take(val_idx)))
 
     def objective(config: dict) -> float:
         hp = HyperParams(**config)
         scores = [
-            score(fit_tree(aug, hp, seed=tree_seed + j, n_threads=n_threads), val).macro_f_score
-            for j, (aug, val) in enumerate(prepared)
+            score(_fit_presorted(aug, order, hp, tree_seed + j, n_threads), val).macro_f_score
+            for j, (aug, order, val) in enumerate(prepared)
         ]
         return float(np.mean(scores))
 
@@ -268,14 +269,18 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> RunRepo
     augmented = clock.run("oversample", lambda: smote(train_s, smote_cfg))
     counts_after = class_counts(augmented)
 
-    def fit(hp: HyperParams) -> TreeModel:
-        return fit_tree(augmented, hp, cfg.seed, cfg.n_threads)
+    def fit_optimized() -> tuple[np.ndarray, TreeModel]:
+        order = _presort(augmented.features)  # the baseline fit shares it
+        return order, _fit_presorted(augmented, order, best_hp, cfg.seed, cfg.n_threads)
 
-    optimized_tree = clock.run("fit_optimized", lambda: fit(best_hp))
+    order, optimized_tree = clock.run("fit_optimized", fit_optimized)
     # the same data, settings and seed grow the same tree, so a winning
     # default is not grown twice
     baseline_tree = clock.run(
-        "fit_baseline", lambda: optimized_tree if best_hp == DEFAULT_HP else fit(DEFAULT_HP)
+        "fit_baseline",
+        lambda: optimized_tree
+        if best_hp == DEFAULT_HP
+        else _fit_presorted(augmented, order, DEFAULT_HP, cfg.seed, cfg.n_threads),
     )
     optimized_metrics, baseline_metrics = clock.run(
         "evaluate", lambda: (score(optimized_tree, test_s), score(baseline_tree, test_s))

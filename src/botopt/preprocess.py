@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+# Bytes of the (rows, n_min, n_features) difference tensor of one kNN chunk.
+_KNN_CHUNK_BYTES = 8 << 20
+
+
 @dataclass(frozen=True)
 class Scaler:
     """Per-feature extrema of the training data."""
@@ -132,6 +136,22 @@ def smote(d: Dataset, cfg: SmoteConfig, log_path=None) -> Dataset:
     return out
 
 
+def _minority_neighbors(pts: np.ndarray, k: int) -> np.ndarray:
+    """k nearest neighbors of each point (squared Euclidean), self excluded,
+    distance ties broken by lower row index (stable sort). Rows are taken in
+    chunks whose difference tensor stays within _KNN_CHUNK_BYTES, or one row
+    at a time when a single row exceeds it."""
+    n, n_features = pts.shape
+    step = max(1, _KNN_CHUNK_BYTES // (8 * n * n_features))
+    table = np.empty((n, k), dtype=np.intp)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        d2 = np.sum((pts[lo:hi, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        table[lo:hi] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return table
+
+
 def _oversample(d: Dataset, cfg: SmoteConfig):
     """smote_audit's work with provenance as arrays: (augmented dataset,
     seed row, neighbor row and coefficient of each synthetic row)."""
@@ -154,11 +174,7 @@ def _oversample(d: Dataset, cfg: SmoteConfig):
         k_eff = 1
         neighbor_table = np.zeros((1, 1), dtype=np.intp)
     else:
-        # k nearest minority neighbors of each minority point, self excluded,
-        # distance ties broken by lower row index (stable sort).
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        neighbor_table = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+        neighbor_table = _minority_neighbors(pts, k_eff)
 
     rng = np.random.default_rng(cfg.seed)
     seed_choices = rng.integers(0, n_min, size=n_syn)

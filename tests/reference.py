@@ -104,14 +104,22 @@ def ref_best_split(X, y, min_samples_leaf, features, n_classes):
     return best
 
 
-def ref_fit_tree(X, y, max_depth, min_samples_split, min_samples_leaf, n_classes):
-    """Reference grower for max_features_fraction = 1 (all features per node).
+def ref_fit_tree(
+    X, y, max_depth, min_samples_split, min_samples_leaf, n_classes,
+    max_features_fraction=1.0, seed=0,
+):
+    """Reference grower, recursive.
 
-    Nodes are plain tuples: ("leaf", counts, majority) and
-    ("split", feature, threshold, left, right).
+    Every node that is not a leaf by depth, size or purity draws its
+    candidate features, ceil(max_features_fraction * n_features) of them,
+    from one generator seeded with ``seed``, in preorder (node, left
+    subtree, right subtree). Nodes are plain tuples: ("leaf", counts,
+    majority) and ("split", feature, threshold, left, right).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
+    rng = np.random.default_rng(seed)
+    m_feat = math.ceil(max_features_fraction * X.shape[1])
 
     def grow(idx, depth):
         counts = np.bincount(y[idx], minlength=n_classes)
@@ -119,7 +127,8 @@ def ref_fit_tree(X, y, max_depth, min_samples_split, min_samples_leaf, n_classes
         leaf = ("leaf", tuple(int(c) for c in counts), majority)
         if depth >= max_depth or len(idx) < min_samples_split or counts.max() == len(idx):
             return leaf
-        found = ref_best_split(X[idx], y[idx], min_samples_leaf, range(X.shape[1]), n_classes)
+        features = rng.choice(X.shape[1], size=m_feat, replace=False)
+        found = ref_best_split(X[idx], y[idx], min_samples_leaf, features, n_classes)
         if found is None:
             return leaf
         f, thr, _ = found

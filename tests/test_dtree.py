@@ -1,3 +1,6 @@
+import gc
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from botopt.dtree import (
     HyperParams,
     Leaf,
     Split,
+    _fit_presorted,
     best_split,
     dump_tree,
     fit_tree,
@@ -143,6 +147,93 @@ def test_tree_matches_reference_on_gaussian_mixture():
     t = fit_tree(dataset(X, y), hp, seed=9)
     ref = ref_fit_tree(X, y, hp.max_depth, hp.min_samples_split, hp.min_samples_leaf, 2)
     assert same_tree(t.root, ref)
+
+
+def tied_data(seed, n=90):
+    """Few distinct values per feature and a duplicated column: many equal
+    values, and exact Gini ties within and across features."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 4, size=(n, 3)).astype(float)
+    X = np.c_[X, X[:, 1]]  # every candidate on feature 3 ties one on feature 1
+    y = rng.integers(0, 2 + seed % 2, n)
+    return X, y
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "hp",
+    [
+        HyperParams(min_samples_split=5, min_samples_leaf=3),
+        HyperParams(max_depth=6, min_samples_split=9, min_samples_leaf=2),
+    ],
+)
+def test_tree_matches_reference_on_tied_values(seed, hp):
+    X, y = tied_data(seed)
+    n_classes = int(y.max()) + 1
+    t = fit_tree(dataset(X, y), hp, seed=seed)
+    ref = ref_fit_tree(X, y, hp.max_depth, hp.min_samples_split, hp.min_samples_leaf, n_classes)
+    assert same_tree(t.root, ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_feature_subsets_match_reference_draws(seed):
+    X, y = tied_data(seed)
+    X = np.c_[X, np.random.default_rng(seed).random((X.shape[0], 2))]
+    n_classes = int(y.max()) + 1
+    hp = HyperParams(max_depth=8, min_samples_split=4, min_samples_leaf=2, max_features_fraction=0.5)
+    d = dataset(X, y)
+    t = fit_tree(d, hp, seed=seed)
+    ref = ref_fit_tree(
+        X, y, hp.max_depth, hp.min_samples_split, hp.min_samples_leaf, n_classes,
+        max_features_fraction=hp.max_features_fraction, seed=seed,
+    )
+    assert same_tree(t.root, ref)
+    assert dump_tree(fit_tree(d, hp, seed=seed)) == dump_tree(t)
+    assert dump_tree(fit_tree(d, hp, seed=seed + 100)) != dump_tree(t)
+
+
+def test_tree_does_not_depend_on_the_order_of_equal_values():
+    X, y = tied_data(1)
+    d = dataset(X, y)
+    hp = HyperParams(min_samples_leaf=2)
+    ascending = np.argsort(X, axis=0, kind="stable").T  # equal values by ascending row
+    descending = (X.shape[0] - 1 - np.argsort(X[::-1], axis=0, kind="stable")).T
+    assert not np.array_equal(ascending, descending)
+    a = _fit_presorted(d, np.ascontiguousarray(ascending), hp, seed=0, n_threads=1)
+    b = _fit_presorted(d, np.ascontiguousarray(descending), hp, seed=0, n_threads=1)
+    assert dump_tree(a) == dump_tree(b)
+    assert dump_tree(a) == dump_tree(fit_tree(d, hp, seed=0))
+
+
+def test_fit_leaves_no_reference_cycles():
+    # a cycle keeps each fit's work arrays alive until the cyclic collector runs
+    rng = np.random.default_rng(6)
+    d = dataset(rng.random((200, 3)), rng.integers(0, 2, 200))
+    gc.collect()
+    gc.disable()
+    try:
+        fit_tree(d, HP_OPEN, seed=0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_fit_tree_needs_no_recursion_headroom():
+    # one class per row makes every cut an exact tie, so the lowest
+    # threshold wins and each split peels off one row: depth n - 1
+    n = 120
+    d = dataset(np.arange(n, dtype=float), np.arange(n))
+    depth_now, frame = 0, sys._getframe()
+    while frame is not None:
+        depth_now, frame = depth_now + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth_now + 40)
+    try:
+        t = fit_tree(d, HyperParams(max_depth=n), seed=0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert t.depth == n - 1
+    assert list(predict_many(t, d.features)) == list(d.labels)
 
 
 def test_predict_routes_left_on_equality():

@@ -1,3 +1,5 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from botopt.pipeline import (
     prepare,
     report_to_text,
     run_pipeline,
+    score,
     stratified_kfold,
 )
 from botopt.preprocess import SmoteConfig, fit_minmax, scale_dataset, smote
@@ -197,6 +200,30 @@ def test_cv_objective_scores_in_unit_interval_and_deterministic(small_data):
     a, b = objective(config), objective(config)
     assert a == b
     assert 0.0 <= a <= 1.0
+
+
+def test_cv_objective_equals_fresh_fits_on_each_fold(small_data):
+    # the objective keeps each fold's oversampled set and its column sort
+    # for every trial; fresh fits on the same folds must score exactly alike
+    sp = stratified_split(small_data, 0.2, seed=3)
+    train_s = scale_dataset(fit_minmax(sp.train), sp.train)
+    folds = stratified_kfold(train_s.labels, 3, seed=3)
+    smote_cfg = SmoteConfig(3, 1.0, 3)
+    objective = make_cv_objective(train_s, folds, smote_cfg, tree_seed=3)
+    settings = [
+        DEFAULT_HP,
+        HyperParams(max_depth=4, min_samples_split=6, min_samples_leaf=3),
+        HyperParams(max_depth=12, max_features_fraction=0.5),
+        HyperParams(max_depth=3, min_samples_split=10, min_samples_leaf=5, max_features_fraction=0.3),
+    ]
+    for hp in settings + settings[:1]:  # the repeat: trials leave the shared sorts intact
+        scores = []
+        for j, val_idx in enumerate(folds):
+            fold_train = train_s.take(np.setdiff1d(np.arange(train_s.n_rows), val_idx))
+            aug = smote(fold_train, replace(smote_cfg, seed=smote_cfg.seed + j))
+            tree = fit_tree(aug, hp, seed=3 + j)
+            scores.append(score(tree, train_s.take(val_idx)).macro_f_score)
+        assert objective(asdict(hp)) == float(np.mean(scores))
 
 
 # --- benchmark ---------------------------------------------------------------

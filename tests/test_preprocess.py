@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from botopt import preprocess
 from botopt.ingest import Dataset, class_counts
 from botopt.preprocess import (
     Scaler,
@@ -226,6 +227,21 @@ def test_audit_every_synthetic_point(n_min, n_maj, k, ratio, seed):
         # neighbor really is one of the k nearest minority neighbors
         local = rec.seed_index  # minority rows are 0..n_min-1 here
         assert rec.neighbor_index in knn_indices(feats[:n_min], local, k_eff)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+def test_chunked_neighbor_search_matches_reference(monkeypatch, chunk_rows):
+    # integer coordinates give many equal distances; the lower row index wins
+    rng = np.random.default_rng(chunk_rows)
+    pts = rng.integers(0, 3, size=(23, 2)).astype(float)
+    d = dataset(np.vstack([pts, rng.random((40, 2)) + 5.0]), [0] * 23 + [1] * 40)
+    cfg = SmoteConfig(k=4, target_ratio=1.0, seed=chunk_rows)
+    whole = smote(d, cfg)
+    monkeypatch.setattr(preprocess, "_KNN_CHUNK_BYTES", 8 * pts.size * chunk_rows)
+    table = preprocess._minority_neighbors(pts, 4)
+    for i in range(pts.shape[0]):
+        assert list(table[i]) == knn_indices(pts, i, 4)
+    np.testing.assert_array_equal(smote(d, cfg).features, whole.features)
 
 
 def test_provenance_log_round_trip(tmp_path):
