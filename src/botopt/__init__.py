@@ -46,14 +46,12 @@ from .pipeline import (
     PipelineConfig,
     PipelineError,
     RunReport,
-    benchmark_scaling,
     report_to_text,
     run_pipeline,
 )
 from .preprocess import (
     Scaler,
     SmoteConfig,
-    SmoteRecord,
     apply_minmax,
     fit_minmax,
     read_smote_log,

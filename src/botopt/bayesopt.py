@@ -19,7 +19,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .gp import GPModel, default_kernel_grid, gp_fit, gp_predict_batch, tune_kernel
 
@@ -99,19 +99,18 @@ def expected_improvement(mean: float, std: float, best_so_far: float, xi: float 
     """E[max(Y - best_so_far - xi, 0)] for Y ~ N(mean, std^2); 0 when std = 0."""
     if std < 0:
         raise ValueError(f"std must be non-negative, got {std}")
-    if std == 0.0:
-        return 0.0
-    improve = mean - best_so_far - xi
-    z = min(max(improve / std, -1e8), 1e8)  # cdf/pdf are exactly 0/1 out here
-    return float(max(improve * norm.cdf(z) + std * norm.pdf(z), 0.0))
+    return float(_ei_vector(np.array([float(mean)]), np.array([float(std)]), best_so_far, xi)[0])
 
 
 def _ei_vector(mean: np.ndarray, std: np.ndarray, best_so_far: float, xi: float) -> np.ndarray:
+    """expected_improvement of each (mean, std) pair."""
     improve = mean - best_so_far - xi
     out = np.zeros_like(mean)
     pos = std > 0.0
-    z = np.clip(improve[pos] / std[pos], -1e8, 1e8)
-    out[pos] = improve[pos] * norm.cdf(z) + std[pos] * norm.pdf(z)
+    with np.errstate(over="ignore"):  # a tiny std overflows to +-inf, which the clip takes
+        z = np.clip(improve[pos] / std[pos], -1e8, 1e8)  # cdf/pdf are exactly 0/1 out here
+    # the standard normal cdf and pdf, as scipy.stats.norm computes them
+    out[pos] = improve[pos] * ndtr(z) + std[pos] * (np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi))
     return np.maximum(out, 0.0)
 
 

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Verbs: run (full pipeline), tune (search only, emits the trial trace),
-eval (fit and score one hyperparameter setting), pca (projection export),
-bench (per-stage timing table). Settings come from an optional JSON config
-file; every field can be overridden by a flag.
+eval (fit and score one hyperparameter setting), pca (projection export).
+Settings come from an optional JSON config file; every field can be
+overridden by a flag.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .dtree import HyperParams, fit_tree
 from .metrics import metrics_to_text, pca2, write_pca_csv
 from .pipeline import (
     PipelineConfig,
-    benchmark_scaling,
     load_dataset,
     prepare,
     report_to_text,
@@ -103,12 +102,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _build_config(args)
-    hp = HyperParams(
-        max_depth=args.max_depth,
-        min_samples_split=args.min_samples_split,
-        min_samples_leaf=args.min_samples_leaf,
-        max_features_fraction=args.max_features_fraction,
-    )
+    hp = HyperParams(**{f.name: getattr(args, f.name) for f in fields(HyperParams)})
     train_s, test_s, smote_cfg = prepare(cfg, load_dataset(cfg))
     tree = fit_tree(smote(train_s, smote_cfg), hp, cfg.seed, cfg.n_threads)
     print(metrics_to_text(score(tree, test_s)))
@@ -123,14 +117,6 @@ def _cmd_pca(args) -> int:
     write_pca_csv(projections, data.labels, args.out)
     print(f"explained variance: {explained[0]:.6f}, {explained[1]:.6f}")
     print(f"projection data written to {args.out}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    cfg = _build_config(args)
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else []
-    rows = benchmark_scaling(cfg, sizes)
-    print(json.dumps(rows, indent=2))
     return 0
 
 
@@ -153,21 +139,15 @@ def main(argv=None) -> int:
 
     p_eval = sub.add_parser("eval", help="fit and score one hyperparameter setting")
     _add_common(p_eval, seed_required=False)
-    p_eval.add_argument("--max-depth", type=int, default=50)
-    p_eval.add_argument("--min-samples-split", type=int, default=2)
-    p_eval.add_argument("--min-samples-leaf", type=int, default=1)
-    p_eval.add_argument("--max-features-fraction", type=float, default=1.0)
+    # one flag per tree setting, e.g. --max-depth, typed and defaulted by HyperParams
+    for f in fields(HyperParams):
+        p_eval.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     p_eval.set_defaults(fn=_cmd_eval)
 
     p_pca = sub.add_parser("pca", help="export 2-component projection data")
     _add_common(p_pca, seed_required=False)
     p_pca.add_argument("--out", required=True, help="output CSV (pc1, pc2, label)")
     p_pca.set_defaults(fn=_cmd_pca)
-
-    p_bench = sub.add_parser("bench", help="per-stage timing table over subsample sizes")
-    _add_common(p_bench, seed_required=False)
-    p_bench.add_argument("--sizes", help="comma-separated ascending subsample sizes")
-    p_bench.set_defaults(fn=_cmd_bench)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -326,14 +326,11 @@ def predict(t: TreeModel, row) -> int:
     row = np.asarray(row, dtype=np.float64).ravel()
     if row.shape[0] != t.n_features:
         raise ValueError(f"row has {row.shape[0]} features, tree was fit on {t.n_features}")
-    node = t.root
-    while isinstance(node, Split):
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.majority
+    return int(predict_many(t, row[None])[0])
 
 
 def predict_many(t: TreeModel, X: np.ndarray) -> np.ndarray:
-    """Vectorized batch prediction; equivalent to predict on each row."""
+    """The leaf class of each row of X; values <= threshold go left."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != t.n_features:
         raise ValueError(f"matrix has shape {X.shape}, tree was fit on {t.n_features} features")

@@ -68,8 +68,7 @@ def kernel_eval(p: KernelParams, a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"point dimensions differ: {a.shape} vs {b.shape}")
-    sq = float(np.sum((a - b) ** 2))
-    return p.signal_variance * np.exp(-sq / (2.0 * p.lengthscale**2))
+    return float(_kernel_matrix(p, a.reshape(1, -1), b.reshape(1, -1))[0, 0])
 
 
 def _kernel_matrix(p: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -48,12 +48,15 @@ class Dataset:
             raise ValueError(f"need at least one row and one feature, got shape {feats.shape}")
         if labels.shape != (m,):
             raise ValueError(f"labels shape {labels.shape} does not match {m} feature rows")
-        if not np.all(np.isfinite(feats)):
-            bad = np.argwhere(~np.isfinite(feats))[0]
-            raise ValueError(f"non-finite feature value at row {bad[0]}, column {bad[1]}")
         names = tuple(str(c) for c in self.feature_names)
         if len(names) != n:
             raise ValueError(f"{len(names)} feature names for {n} feature columns")
+        finite = np.isfinite(feats)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ValueError(
+                f"non-finite feature value {float(feats[i, j])} at row {i + 1}, column {names[j]!r}"
+            )
         feats.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "features", feats)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .bayesopt import Dim, SearchSpace, Trace, default_dt_space, optimize
-from .dtree import HyperParams, TreeModel, _fit_presorted, _presort, fit_tree, predict_many
+from .dtree import HyperParams, TreeModel, _fit_presorted, _presort, predict_many
 from .ingest import Dataset, SplitPair, class_counts, load_flows, stratified_split
 from .metrics import MetricsReport, compute_metrics, confusion, metrics_to_text
 from .preprocess import SmoteConfig, fit_minmax, scale_dataset, smote
@@ -37,16 +37,13 @@ __all__ = [
     "search",
     "score",
     "run_pipeline",
-    "benchmark_scaling",
     "stratified_kfold",
     "make_cv_objective",
     "report_to_text",
 ]
 
 # Library-default tree settings used for the untuned baseline arm.
-DEFAULT_HP = HyperParams(
-    max_depth=50, min_samples_split=2, min_samples_leaf=1, max_features_fraction=1.0
-)
+DEFAULT_HP = HyperParams()
 
 # Reference results as published for the full 3.67M-row corpus
 # (algorithm, accuracy %, precision, recall, f-score). Reported verbatim in
@@ -300,36 +297,6 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> RunRepo
         optimized_tree=optimized_tree,
         baseline_tree=baseline_tree,
     )
-
-
-def benchmark_scaling(
-    cfg: PipelineConfig, sizes: list[int], dataset: Dataset | None = None
-) -> list[dict]:
-    """Per-stage wall-clock timings on stratified subsamples of each size.
-
-    Informational only: timings are reported, nothing about their growth is
-    asserted. Returns one record per (size, stage).
-    """
-    if list(sizes) != sorted(sizes):
-        raise ValueError("sizes must be ascending")
-    if not sizes:
-        return []
-    if dataset is None:
-        dataset = load_dataset(cfg)
-
-    rows: list[dict] = []
-    for m in sizes:
-        if m < dataset.n_rows:
-            sub = stratified_split(dataset, m / dataset.n_rows, cfg.seed).test
-        else:
-            sub = dataset
-        clock = _StageClock()
-        train_s, test_s, smote_cfg = prepare(cfg, sub, clock)
-        augmented = clock.run("oversample", lambda: smote(train_s, smote_cfg))
-        tree = clock.run("tree_fit", lambda: fit_tree(augmented, DEFAULT_HP, cfg.seed, cfg.n_threads))
-        clock.run("tree_predict", lambda: predict_many(tree, test_s.features))
-        rows.extend({"m": sub.n_rows, "stage": s, "seconds": t} for s, t in clock.timings.items())
-    return rows
 
 
 def report_to_text(report: RunReport) -> str:

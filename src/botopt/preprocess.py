@@ -25,7 +25,6 @@ from .ingest import Dataset, class_counts
 __all__ = [
     "Scaler",
     "SmoteConfig",
-    "SmoteRecord",
     "fit_minmax",
     "apply_minmax",
     "scale_dataset",
@@ -71,16 +70,6 @@ class SmoteConfig:
             raise ValueError(f"target_ratio must be in (0, 1], got {self.target_ratio}")
 
 
-@dataclass(frozen=True)
-class SmoteRecord:
-    """Provenance of one synthetic row: output row M+i interpolates between
-    source rows seed_index and neighbor_index with coefficient lam."""
-
-    seed_index: int
-    neighbor_index: int
-    lam: float
-
-
 def fit_minmax(train: Dataset) -> Scaler:
     """Column-wise extrema of the training features."""
     return Scaler(mins=train.features.min(axis=0), maxs=train.features.max(axis=0))
@@ -113,29 +102,6 @@ def _minority_class(counts: dict[int, int]) -> tuple[int, int, int]:
     return minority, n_min, n_maj
 
 
-def smote_audit(d: Dataset, cfg: SmoteConfig) -> tuple[Dataset, list[SmoteRecord]]:
-    """Oversample the minority class, returning the augmented dataset and one
-    provenance record per synthetic row.
-
-    The minority count is raised to ceil(target_ratio * majority count).
-    If that target is already met the input dataset is returned unchanged
-    with no records. Draw protocol (fixed by sample index): seed-point
-    choices, then neighbor ranks, then interpolation coefficients.
-    """
-    out, seeds, neighbors, lams = _oversample(d, cfg)
-    records = [SmoteRecord(*r) for r in zip(seeds.tolist(), neighbors.tolist(), lams.tolist())]
-    return out, records
-
-
-def smote(d: Dataset, cfg: SmoteConfig, log_path=None) -> Dataset:
-    """Augmented dataset; optionally writes the provenance log to log_path."""
-    if log_path is None:
-        return _oversample(d, cfg)[0]
-    out, records = smote_audit(d, cfg)
-    write_smote_log(records, log_path)
-    return out
-
-
 def _minority_neighbors(pts: np.ndarray, k: int) -> np.ndarray:
     """k nearest neighbors of each point (squared Euclidean), self excluded,
     distance ties broken by lower row index (stable sort). Rows are taken in
@@ -152,9 +118,18 @@ def _minority_neighbors(pts: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
-def _oversample(d: Dataset, cfg: SmoteConfig):
-    """smote_audit's work with provenance as arrays: (augmented dataset,
-    seed row, neighbor row and coefficient of each synthetic row)."""
+def smote_audit(
+    d: Dataset, cfg: SmoteConfig
+) -> tuple[Dataset, np.ndarray, np.ndarray, np.ndarray]:
+    """Oversample the minority class: (augmented dataset, seed rows, neighbor
+    rows, coefficients). Output row M+i interpolates between source rows
+    seed_rows[i] and neighbor_rows[i] with coefficient lams[i].
+
+    The minority count is raised to ceil(target_ratio * majority count).
+    If that target is already met the input dataset is returned unchanged
+    with empty provenance arrays. Draw protocol (fixed by sample index):
+    seed-point choices, then neighbor ranks, then interpolation coefficients.
+    """
     counts = class_counts(d)
     minority, n_min, n_maj = _minority_class(counts)
     target = ceil(cfg.target_ratio * n_maj)
@@ -169,7 +144,7 @@ def _oversample(d: Dataset, cfg: SmoteConfig):
     if n_min == 1:
         warnings.warn(
             "single minority instance: no neighbors exist, emitting exact duplicates",
-            stacklevel=3,
+            stacklevel=2,
         )
         k_eff = 1
         neighbor_table = np.zeros((1, 1), dtype=np.intp)
@@ -191,16 +166,29 @@ def _oversample(d: Dataset, cfg: SmoteConfig):
     return out, min_idx[seed_choices], min_idx[nb_choices], lams
 
 
-def write_smote_log(records: list[SmoteRecord], path) -> None:
+def smote(d: Dataset, cfg: SmoteConfig) -> Dataset:
+    """The augmented dataset of smote_audit, without its provenance."""
+    return smote_audit(d, cfg)[0]
+
+
+def write_smote_log(seed_rows, neighbor_rows, lams, path) -> None:
+    """One CSV row per synthetic row; coefficients are written with repr, so
+    read_smote_log gives them back exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed_index", "neighbor_index", "lam"])
-        for r in records:
-            writer.writerow([r.seed_index, r.neighbor_index, repr(r.lam)])
+        rows = zip(*(np.asarray(a).tolist() for a in (seed_rows, neighbor_rows, lams)))
+        writer.writerows([s, n, repr(lam)] for s, n, lam in rows)
 
 
-def read_smote_log(path) -> list[SmoteRecord]:
+def read_smote_log(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(seed rows, neighbor rows, coefficients) of a write_smote_log file."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
-        return [SmoteRecord(int(s), int(n), float(l)) for s, n, l in reader]
+        seeds, neighbors, lams = list(zip(*reader)) or ((), (), ())
+    return (
+        np.array([int(v) for v in seeds], dtype=np.intp),
+        np.array([int(v) for v in neighbors], dtype=np.intp),
+        np.array([float(v) for v in lams], dtype=np.float64),
+    )

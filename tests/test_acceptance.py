@@ -18,8 +18,8 @@ from botopt.dtree import HyperParams, fit_tree, predict_many
 from botopt.gp import KernelParams, gp_fit, gp_predict, log_marginal_likelihood
 from botopt.ingest import Dataset, class_counts, sample_flows
 from botopt.metrics import ConfusionMatrix, compute_metrics
-from botopt.pipeline import PipelineConfig, benchmark_scaling, run_pipeline
-from botopt.preprocess import SmoteConfig, read_smote_log, smote
+from botopt.pipeline import PipelineConfig, report_to_text, run_pipeline
+from botopt.preprocess import SmoteConfig, read_smote_log, smote_audit, write_smote_log
 from botopt.synthetic import gaussian_clusters
 
 from reference import (
@@ -176,28 +176,29 @@ def test_criterion_5_smote_provenance_audit(tmp_path):
         d = Dataset(feats, labels, tuple(f"f{i}" for i in range(nf)))
 
         log = tmp_path / f"log_{case}.csv"
-        out = smote(d, SmoteConfig(k=k, target_ratio=ratio, seed=case), log_path=log)
-        records = read_smote_log(log)
+        out, *provenance = smote_audit(d, SmoteConfig(k=k, target_ratio=ratio, seed=case))
+        write_smote_log(*provenance, log)
+        seeds, neighbors, lams = read_smote_log(log)
 
         expected_minority = max(ceil(ratio * n_maj), n_min)
         counts = class_counts(out)
         assert counts[0] == expected_minority, "post-oversampling count wrong"
         assert counts[1] == n_maj
-        assert len(records) == expected_minority - n_min
+        assert len(seeds) == expected_minority - n_min
 
         k_eff = min(k, n_min - 1)
         neighbor_lists = [knn_indices(feats[:n_min], i, k_eff) for i in range(n_min)]
-        for i, rec in enumerate(records):
-            x = d.features[rec.seed_index]
-            nb = d.features[rec.neighbor_index]
+        for i, (s, n, lam) in enumerate(zip(seeds, neighbors, lams)):
+            x = d.features[s]
+            nb = d.features[n]
             synth = out.features[d.n_rows + i]
-            assert 0.0 <= rec.lam <= 1.0
+            assert 0.0 <= lam <= 1.0
             # collinearity: the logged interpolation reproduces the point
-            assert np.max(np.abs(synth - (x + rec.lam * (nb - x)))) < 1e-9
+            assert np.max(np.abs(synth - (x + lam * (nb - x)))) < 1e-9
             # segment: inside the endpoint bounding box
             assert np.all(synth >= np.minimum(x, nb) - 1e-12)
             assert np.all(synth <= np.maximum(x, nb) + 1e-12)
-            assert rec.neighbor_index in neighbor_lists[rec.seed_index]
+            assert n in neighbor_lists[s]
     elapsed = time.perf_counter() - start
     ok = True
     _verdict(5, "smote collinearity/segment audit via provenance log", ok, elapsed, 5.0)
@@ -295,14 +296,23 @@ def test_criterion_7_synthetic_imbalance_surrogate():
     assert elapsed < 300.0
 
 
-def test_criterion_8_bench_reports_without_asserting_complexity():
+def test_criterion_8_run_reports_stage_times_without_asserting_growth():
     start = time.perf_counter()
+    stages = {
+        "load", "split", "normalize", "tune",
+        "oversample", "fit_optimized", "fit_baseline", "evaluate",
+    }
     data = gaussian_clusters(700, 60, seed=8)
-    cfg = PipelineConfig(seed=8, smote_k=3)
-    rows = benchmark_scaling(cfg, [300, 600], dataset=data)
-    ok = len(rows) == 10 and all(r["seconds"] > 0 for r in rows)
+    cfg = PipelineConfig(seed=8, smote_k=3, budget=6, n_init=4, n_candidates=150)
+    report = run_pipeline(cfg, dataset=data)
+    timings = report.timings
+    ok = (
+        set(timings) == stages
+        and all(t > 0 for t in timings.values())
+        and "stage seconds: " in report_to_text(report)
+    )
     elapsed = time.perf_counter() - start
-    _verdict(8, "bench emits timings; growth is reported, never asserted", ok, elapsed, 60.0)
+    _verdict(8, "the run reports a time for every stage; growth is never asserted", ok, elapsed, 60.0)
     print(
         "criterion 8 note: full-scale published numbers are out of desk-scale scope; "
         "criterion 6 at reduced scale plus the property suites stand in for them"

@@ -1,16 +1,22 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import botopt
 from botopt.bayesopt import (
     Dim,
     SearchSpace,
     Trace,
     Trial,
+    _ei_vector,
     default_dt_space,
     expected_improvement,
     latin_hypercube,
@@ -84,6 +90,31 @@ def test_ei_nondecreasing_in_mean(means, std, best):
 def test_ei_rejects_negative_std():
     with pytest.raises(ValueError):
         expected_improvement(0.0, -1.0, 0.0)
+
+
+def test_ei_vector_equals_scipy_normal_formula():
+    # the closed-form cdf/pdf give scipy.stats.norm's values bit for bit,
+    # out to the +-1e8 clip and at std = 0
+    from scipy.stats import norm
+
+    rng = np.random.default_rng(0)
+    mean = np.concatenate([rng.normal(0, 3, 5000), [1e9, -1e9, 40.0, -40.0, 0.0]])
+    std = np.concatenate([np.abs(rng.normal(0, 2, 5000)), [1e-9, 1e-9, 1.0, 1.0, 0.0]])
+    std[::50] = 0.0
+    improve = mean - 0.3 - 0.01
+    pos = std > 0.0
+    z = np.clip(improve[pos] / std[pos], -1e8, 1e8)
+    expected = np.zeros_like(mean)
+    expected[pos] = improve[pos] * norm.cdf(z) + std[pos] * norm.pdf(z)
+    np.testing.assert_array_equal(_ei_vector(mean, std, 0.3, 0.01), np.maximum(expected, 0.0))
+
+
+def test_importing_botopt_does_not_import_scipy_stats():
+    # scipy.stats costs most of the package's import time
+    src = str(Path(botopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import botopt, sys; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # --- propose_next ------------------------------------------------------------

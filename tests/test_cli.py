@@ -4,9 +4,11 @@ import pytest
 
 from botopt.bayesopt import write_trace
 from botopt.cli import main
+from botopt.dtree import HyperParams, fit_tree
 from botopt.ingest import write_flows
 from botopt.metrics import metrics_to_text
-from botopt.pipeline import PipelineConfig, run_pipeline
+from botopt.pipeline import PipelineConfig, load_dataset, prepare, run_pipeline, score
+from botopt.preprocess import smote
 from botopt.synthetic import gaussian_clusters
 
 
@@ -81,6 +83,19 @@ def test_tune_and_eval_agree_with_run_pipeline(flows_csv, tmp_path, capsys):
     assert capsys.readouterr().out == metrics_to_text(report.baseline_metrics) + "\n"
 
 
+def test_eval_tree_flags_set_every_hyperparameter(flows_csv, capsys):
+    hp = HyperParams(max_depth=3, min_samples_split=9, min_samples_leaf=4, max_features_fraction=0.5)
+    cfg = PipelineConfig(seed=2, data_path=flows_csv, smote_k=2)
+    train_s, test_s, smote_cfg = prepare(cfg, load_dataset(cfg))
+    expected = score(fit_tree(smote(train_s, smote_cfg), hp, cfg.seed), test_s)
+    assert main([
+        "eval", "--data", flows_csv, "--seed", "2", "--smote-k", "2",
+        "--max-depth", "3", "--min-samples-split", "9",
+        "--min-samples-leaf", "4", "--max-features-fraction", "0.5",
+    ]) == 0
+    assert capsys.readouterr().out == metrics_to_text(expected) + "\n"
+
+
 def test_pca_exports_projection(flows_csv, tmp_path, capsys):
     out = tmp_path / "pca.csv"
     rc = main(["pca", "--data", flows_csv, "--out", str(out)])
@@ -89,14 +104,6 @@ def test_pca_exports_projection(flows_csv, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "pc1,pc2,label"
     assert len(lines) == 331
-
-
-def test_bench_prints_rows(flows_csv, capsys):
-    rc = main(["bench", "--data", flows_csv, "--sizes", "120,240", "--smote-k", "2"])
-    assert rc == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert {r["stage"] for r in rows} == {"split", "normalize", "oversample", "tree_fit", "tree_predict"}
-    assert len(rows) == 10
 
 
 def test_config_file_with_flag_override(flows_csv, tmp_path, capsys):

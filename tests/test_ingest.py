@@ -173,6 +173,16 @@ def test_dataset_rejects_non_finite():
         Dataset(np.array([[1.0], [np.nan]]), np.array([0, 1]), ("x",))
 
 
+def test_dataset_names_value_row_and_column_of_a_non_finite_cell():
+    # worded like the loaders: 1-based row and the column's name
+    feats = np.array([[1.0, 2.0], [3.0, np.nan], [np.inf, 4.0]])
+    with pytest.raises(ValueError, match=r"^non-finite feature value nan at row 2, column 'b'$"):
+        Dataset(feats, np.array([0, 1, 0]), ("a", "b"))
+    # a wrong number of names is reported before any cell
+    with pytest.raises(ValueError, match="1 feature names for 2 feature columns"):
+        Dataset(feats, np.array([0, 1, 0]), ("a",))
+
+
 def test_dataset_is_immutable():
     d = Dataset(np.ones((2, 2)), np.array([0, 1]), ("a", "b"))
     with pytest.raises(ValueError):

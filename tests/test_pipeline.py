@@ -11,7 +11,6 @@ from botopt.pipeline import (
     PipelineConfig,
     PipelineError,
     _assert_no_leakage,
-    benchmark_scaling,
     make_cv_objective,
     prepare,
     report_to_text,
@@ -224,25 +223,6 @@ def test_cv_objective_equals_fresh_fits_on_each_fold(small_data):
             tree = fit_tree(aug, hp, seed=3 + j)
             scores.append(score(tree, train_s.take(val_idx)).macro_f_score)
         assert objective(asdict(hp)) == float(np.mean(scores))
-
-
-# --- benchmark ---------------------------------------------------------------
-
-def test_benchmark_scaling_smoke(small_data):
-    rows = benchmark_scaling(small_config(), [200], dataset=small_data)
-    stages = {r["stage"] for r in rows}
-    assert stages == {"split", "normalize", "oversample", "tree_fit", "tree_predict"}
-    assert all(r["seconds"] > 0 for r in rows)
-    assert all(abs(r["m"] - 200) <= 3 for r in rows)
-
-
-def test_benchmark_scaling_empty_sizes(small_data):
-    assert benchmark_scaling(small_config(), [], dataset=small_data) == []
-
-
-def test_benchmark_scaling_requires_ascending_sizes(small_data):
-    with pytest.raises(ValueError, match="ascending"):
-        benchmark_scaling(small_config(), [500, 200], dataset=small_data)
 
 
 # --- config plumbing ---------------------------------------------------------

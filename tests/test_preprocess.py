@@ -94,12 +94,12 @@ def test_two_point_minority_interpolates_on_segment():
         [[0.0, 0.0], [1.0, 1.0], [5.0, 5.0], [6.0, 5.0], [7.0, 5.0]],
         [0, 0, 1, 1, 1],
     )
-    out, records = smote_audit(d, SmoteConfig(k=1, target_ratio=1.0, seed=4))
+    out, _, _, lams = smote_audit(d, SmoteConfig(k=1, target_ratio=1.0, seed=4))
     assert class_counts(out) == {0: 3, 1: 3}
-    (rec,) = records
+    (lam,) = lams
     pt = out.features[-1]
     assert pt[0] == pytest.approx(pt[1])  # collinear with (0,0)-(1,1)
-    assert 0.0 <= rec.lam <= 1.0 and 0.0 <= pt[0] <= 1.0
+    assert 0.0 <= lam <= 1.0 and 0.0 <= pt[0] <= 1.0
 
 
 def test_synthetic_row_count_at_published_class_sizes():
@@ -109,8 +109,8 @@ def test_synthetic_row_count_at_published_class_sizes():
     feats = np.vstack([rng.random((n_min, 2)), rng.random((n_maj, 2)) + 3.0])
     labels = np.concatenate([np.zeros(n_min, dtype=int), np.ones(n_maj, dtype=int)])
     d = Dataset(feats, labels, ("a", "b"))
-    out, records = smote_audit(d, SmoteConfig(k=5, target_ratio=1.0, seed=1))
-    assert len(records) == 3_667_568
+    out, seeds, neighbors, lams = smote_audit(d, SmoteConfig(k=5, target_ratio=1.0, seed=1))
+    assert len(seeds) == len(neighbors) == len(lams) == 3_667_568
     assert class_counts(out) == {0: 3_668_045, 1: 3_668_045}
 
 
@@ -134,20 +134,20 @@ def test_pinned_synthetic_coordinates():
         np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, 1]),
         ("x", "y"),
     )
-    out, records = smote_audit(d, SmoteConfig(k=2, target_ratio=1.0, seed=11))
+    out, seeds, _, _ = smote_audit(d, SmoteConfig(k=2, target_ratio=1.0, seed=11))
     synth = out.features[10:]
     np.testing.assert_allclose(synth, PINNED_SYNTH, rtol=0, atol=1e-8)
     # and the reference protocol reproduces them independently
     np.testing.assert_allclose(
         ref_smote_points(minority, k=2, seed=11, n_syn=4), synth, atol=1e-12
     )
-    assert len(records) == 4
+    assert len(seeds) == 4
 
 
 def test_originals_untouched_and_majority_unchanged():
     rng = np.random.default_rng(7)
     d = dataset(rng.random((30, 3)), [0] * 6 + [1] * 24)
-    out, _ = smote_audit(d, SmoteConfig(k=3, target_ratio=1.0, seed=2))
+    out = smote_audit(d, SmoteConfig(k=3, target_ratio=1.0, seed=2))[0]
     np.testing.assert_array_equal(out.features[:30], d.features)
     np.testing.assert_array_equal(out.labels[:30], d.labels)
     assert class_counts(out)[1] == 24
@@ -155,35 +155,35 @@ def test_originals_untouched_and_majority_unchanged():
 
 def test_target_already_met_returns_input_unchanged():
     d = dataset(np.random.default_rng(1).random((10, 2)), [0] * 5 + [1] * 5)
-    out, records = smote_audit(d, SmoteConfig(k=2, target_ratio=1.0, seed=0))
-    assert out is d and records == []
+    out, seeds, neighbors, lams = smote_audit(d, SmoteConfig(k=2, target_ratio=1.0, seed=0))
+    assert out is d and len(seeds) == len(neighbors) == len(lams) == 0
 
 
 def test_same_seed_identical_output():
     rng = np.random.default_rng(9)
     d = dataset(rng.random((40, 2)), [0] * 8 + [1] * 32)
     cfg = SmoteConfig(k=4, target_ratio=0.8, seed=21)
-    a, _ = smote_audit(d, cfg)
-    b, _ = smote_audit(d, cfg)
+    a = smote_audit(d, cfg)[0]
+    b = smote_audit(d, cfg)[0]
     np.testing.assert_array_equal(a.features, b.features)
 
 
 def test_k_reduced_when_minority_small():
     d = dataset([[0.0], [1.0], [9.0], [10.0], [11.0], [12.0]], [0, 0, 1, 1, 1, 1])
-    out, records = smote_audit(d, SmoteConfig(k=5, target_ratio=1.0, seed=3))
+    out, seeds, neighbors, _ = smote_audit(d, SmoteConfig(k=5, target_ratio=1.0, seed=3))
     # k_eff = 1: every neighbor must be the other minority point
-    for r in records:
-        assert {r.seed_index, r.neighbor_index} == {0, 1}
+    for s, n in zip(seeds, neighbors):
+        assert {s, n} == {0, 1}
     assert class_counts(out)[0] == 4
 
 
 def test_single_minority_point_duplicates_with_warning():
     d = dataset([[2.0, 3.0], [9.0, 9.0], [8.0, 9.0], [9.0, 8.0]], [0, 1, 1, 1])
     with pytest.warns(UserWarning, match="duplicates"):
-        out, records = smote_audit(d, SmoteConfig(k=5, target_ratio=1.0, seed=0))
+        out, seeds, neighbors, _ = smote_audit(d, SmoteConfig(k=5, target_ratio=1.0, seed=0))
     for row in out.features[4:]:
         np.testing.assert_array_equal(row, [2.0, 3.0])
-    assert all(r.seed_index == r.neighbor_index == 0 for r in records)
+    assert all(s == n == 0 for s, n in zip(seeds, neighbors))
 
 
 def test_empty_minority_errors():
@@ -213,20 +213,20 @@ def test_audit_every_synthetic_point(n_min, n_maj, k, ratio, seed):
     labels = np.concatenate([np.zeros(n_min, dtype=int), np.ones(n_maj, dtype=int)])
     d = Dataset(feats, labels, ("a", "b", "c"))
     cfg = SmoteConfig(k=k, target_ratio=ratio, seed=seed)
-    out, records = smote_audit(d, cfg)
+    out, seeds, neighbors, lams = smote_audit(d, cfg)
 
     expected_minority = int(np.ceil(ratio * n_maj))
     assert class_counts(out)[0] == max(expected_minority, n_min)
     k_eff = min(k, n_min - 1)
-    for i, rec in enumerate(records):
-        x = d.features[rec.seed_index]
-        nb = d.features[rec.neighbor_index]
+    for i, (s, n, lam) in enumerate(zip(seeds, neighbors, lams)):
+        x = d.features[s]
+        nb = d.features[n]
         synth = out.features[d.n_rows + i]
-        assert 0.0 <= rec.lam <= 1.0
-        np.testing.assert_allclose(synth, x + rec.lam * (nb - x), atol=1e-12)
+        assert 0.0 <= lam <= 1.0
+        np.testing.assert_allclose(synth, x + lam * (nb - x), atol=1e-12)
         # neighbor really is one of the k nearest minority neighbors
-        local = rec.seed_index  # minority rows are 0..n_min-1 here
-        assert rec.neighbor_index in knn_indices(feats[:n_min], local, k_eff)
+        local = s  # minority rows are 0..n_min-1 here
+        assert n in knn_indices(feats[:n_min], local, k_eff)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
@@ -248,17 +248,30 @@ def test_provenance_log_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     d = dataset(rng.random((20, 2)), [0] * 5 + [1] * 15)
     log = tmp_path / "smote_log.csv"
-    out = smote(d, SmoteConfig(k=2, target_ratio=1.0, seed=8), log_path=log)
-    records = read_smote_log(log)
-    assert len(records) == class_counts(out)[0] - 5
-    _, direct = smote_audit(d, SmoteConfig(k=2, target_ratio=1.0, seed=8))
-    assert records == direct
+    cfg = SmoteConfig(k=2, target_ratio=1.0, seed=8)
+    out = smote(d, cfg)
+    _, *direct = smote_audit(d, cfg)
+    write_smote_log(*direct, log)
+    logged = read_smote_log(log)
+    assert len(logged[0]) == class_counts(out)[0] - 5
+    for read, written in zip(logged, direct):
+        np.testing.assert_array_equal(read, written)
 
 
 def test_write_read_log_preserves_lambda_exactly(tmp_path):
-    from botopt.preprocess import SmoteRecord
-
-    recs = [SmoteRecord(3, 7, 0.12345678901234567)]
     p = tmp_path / "log.csv"
-    write_smote_log(recs, p)
-    assert read_smote_log(p) == recs
+    lam = 0.12345678901234567
+    write_smote_log([3], [7], [lam], p)
+    assert p.read_text() == f"seed_index,neighbor_index,lam\n3,7,{lam!r}\n"
+    seeds, neighbors, lams = read_smote_log(p)
+    assert list(seeds) == [3] and list(neighbors) == [7]
+    assert list(lams) == [lam]
+
+
+def test_empty_log_round_trip(tmp_path):
+    # a dataset already at its target adds no rows and logs only the header
+    d = dataset(np.random.default_rng(1).random((10, 2)), [0] * 5 + [1] * 5)
+    p = tmp_path / "log.csv"
+    write_smote_log(*smote_audit(d, SmoteConfig(k=2, target_ratio=1.0, seed=0))[1:], p)
+    seeds, neighbors, lams = read_smote_log(p)
+    assert len(seeds) == len(neighbors) == len(lams) == 0
