@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .gp import GPModel, default_kernel_grid, gp_fit, gp_predict_batch, tune_kernel
+from .gp import GPModel, _fit, _sqdist, _tune, default_kernel_grid, gp_predict_batch
 
 __all__ = [
     "Dim",
@@ -77,6 +77,7 @@ class Trial:
     objective: float
     index: int
     failed: bool = False
+    error: str = ""  # "ExceptionType: message" of a failed trial
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,8 @@ def optimize(
     was already evaluated is replaced by one fresh uniform candidate; if
     that also repeats, the trial is recorded with the cached objective and
     the objective is not called again. A raising objective records a failed
-    trial at one unit below the worst value seen so far and the loop keeps
-    going.
+    trial at one unit below the worst value seen so far, with the exception's
+    type and message as its error, and the loop keeps going.
     """
     d = len(space.dims)
     if n_init is None:
@@ -196,35 +197,35 @@ def optimize(
     sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
 
     trials: list[Trial] = []
-    units: list[np.ndarray] = []
-    cache: dict[tuple, tuple[float, bool]] = {}
+    units = np.empty((budget, d))
+    sq = np.zeros((budget, budget))  # squared distances between units, grown per trial
+    cache: dict[tuple, tuple[float, bool, str]] = {}
 
     def record(config: dict, index: int) -> None:
         key = _key(space, config)
-        if key in cache:
-            value, failed = cache[key]
-        else:
+        if key not in cache:
             try:
-                value, failed = float(objective(config)), False
-            except Exception:
+                cache[key] = (float(objective(config)), False, "")
+            except Exception as err:
                 worst = min((t.objective for t in trials), default=0.0)
-                value, failed = worst - 1.0, True
-            cache[key] = (value, failed)
-        trials.append(Trial(config=config, objective=value, index=index, failed=failed))
-        units.append(_to_unit(space, config))
+                cache[key] = (worst - 1.0, True, f"{type(err).__name__}: {err}")
+        value, failed, error = cache[key]
+        trials.append(Trial(config=config, objective=value, index=index, failed=failed, error=error))
+        units[index] = _to_unit(space, config)  # index == number of earlier trials
+        sq[index, :index] = sq[:index, index] = _sqdist(units[index : index + 1], units[:index])[0]
 
     for i, u in enumerate(latin_hypercube(n_init, d, init_rng)):
         record(_to_native(space, u), i)
 
-    kp = None
+    model = None
     for i in range(n_init, budget):
-        U = np.vstack(units)
         y = np.array([t.objective for t in trials])
         sigma = float(np.std(y))
         y_std = (y - float(np.mean(y))) / (sigma if sigma > 0 else 1.0)
-        if kp is None or (len(trials) - n_init) % RETUNE_EVERY == 0:
-            kp = tune_kernel(U, y_std, default_kernel_grid(), noise)
-        model = gp_fit(U, y_std, kp, noise)
+        if model is None or (i - n_init) % RETUNE_EVERY == 0:
+            model = _tune(units[:i], y_std, default_kernel_grid(), noise, sq[:i, :i])
+        else:
+            model = _fit(units[:i], y_std, model.kernel, noise, sq[:i, :i])
 
         prop_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
         config = propose_next(model, space, float(y_std.max()), prop_seed, n_candidates, xi)

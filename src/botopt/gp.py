@@ -68,17 +68,31 @@ def kernel_eval(p: KernelParams, a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"point dimensions differ: {a.shape} vs {b.shape}")
-    return float(_kernel_matrix(p, a.reshape(1, -1), b.reshape(1, -1))[0, 0])
+    return float(_rbf(p, _sqdist(a.reshape(1, -1), b.reshape(1, -1)))[0, 0])
 
 
-def _kernel_matrix(p: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    sq = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
+def _sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of A and B, summed feature by
+    feature in column order: bit-equal to np.sum(diff**2, axis=-1) below 8
+    features, without building the (len(A), len(B), d) difference tensor."""
+    sq = (A[:, None, 0] - B[None, :, 0]) ** 2
+    for j in range(1, A.shape[1]):
+        sq += (A[:, None, j] - B[None, :, j]) ** 2
+    return sq
+
+
+def _rbf(p: KernelParams, sq: np.ndarray) -> np.ndarray:
     return p.signal_variance * np.exp(-sq / (2.0 * p.lengthscale**2))
 
 
 def gp_fit(X: np.ndarray, y: np.ndarray, p: KernelParams, noise: float) -> GPModel:
     """Fit the GP; escalates diagonal jitter on Cholesky failure."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return _fit(X, y, p, noise, _sqdist(X, X))
+
+
+def _fit(X: np.ndarray, y: np.ndarray, p: KernelParams, noise: float, sq: np.ndarray) -> GPModel:
+    """gp_fit on a 2-D float X, given the squared distances sq between its rows."""
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"{X.shape[0]} inputs but {y.shape[0]} targets")
@@ -87,7 +101,7 @@ def gp_fit(X: np.ndarray, y: np.ndarray, p: KernelParams, noise: float) -> GPMod
     if noise < 0:
         raise ValueError(f"noise must be non-negative, got {noise}")
 
-    K = _kernel_matrix(p, X, X)
+    K = _rbf(p, sq)
     t = K.shape[0]
     last_err = None
     for jitter in _JITTERS:
@@ -108,7 +122,7 @@ def gp_predict_batch(m: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     if Q.shape[1] != m.X.shape[1]:
         raise ValueError(f"query dimension {Q.shape[1]} does not match model dimension {m.X.shape[1]}")
-    k_star = _kernel_matrix(m.kernel, m.X, Q)  # (t, n_query)
+    k_star = _rbf(m.kernel, _sqdist(m.X, Q))  # (t, n_query)
     mean = k_star.T @ m.alpha
     v = solve_triangular(m.chol, k_star, lower=True)
     var = np.maximum(m.kernel.signal_variance - np.sum(v * v, axis=0), 0.0)
@@ -137,16 +151,22 @@ def tune_kernel(
     """Grid member maximizing the evidence; earliest grid order wins ties."""
     if not grid:
         raise ValueError("kernel grid is empty")
-    best: KernelParams | None = None
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return _tune(X, y, grid, noise, _sqdist(X, X)).kernel
+
+
+def _tune(X: np.ndarray, y: np.ndarray, grid: list[KernelParams], noise: float, sq: np.ndarray) -> GPModel:
+    """The fitted model of tune_kernel's winner, every candidate sharing sq."""
+    best: GPModel | None = None
     best_lml = -np.inf
     for cand in grid:
         try:
-            model = gp_fit(X, y, cand, noise)
+            model = _fit(X, y, cand, noise, sq)
         except np.linalg.LinAlgError:
             continue
         lml = log_marginal_likelihood(model)
         if lml > best_lml:
-            best, best_lml = cand, lml
+            best, best_lml = model, lml
     if best is None:
         raise np.linalg.LinAlgError("every kernel candidate failed to factorize")
     return best

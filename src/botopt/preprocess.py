@@ -104,9 +104,10 @@ def _minority_class(counts: dict[int, int]) -> tuple[int, int, int]:
 
 def _minority_neighbors(pts: np.ndarray, k: int) -> np.ndarray:
     """k nearest neighbors of each point (squared Euclidean), self excluded,
-    distance ties broken by lower row index (stable sort). Rows are taken in
-    chunks whose difference tensor stays within _KNN_CHUNK_BYTES, or one row
-    at a time when a single row exceeds it."""
+    ordered by (distance, row index): the head of a stable sort, found by
+    selecting the k-th distance. Rows are taken in chunks whose difference
+    tensor stays within _KNN_CHUNK_BYTES, or one row at a time when a single
+    row exceeds it."""
     n, n_features = pts.shape
     step = max(1, _KNN_CHUNK_BYTES // (8 * n * n_features))
     table = np.empty((n, k), dtype=np.intp)
@@ -114,7 +115,15 @@ def _minority_neighbors(pts: np.ndarray, k: int) -> np.ndarray:
         hi = min(lo + step, n)
         d2 = np.sum((pts[lo:hi, None, :] - pts[None, :, :]) ** 2, axis=-1)
         d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        table[lo:hi] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        keep = d2 <= kth
+        tied = np.flatnonzero(keep.sum(axis=1) > k)  # keep their lowest-index ties only
+        below, at = d2[tied] < kth[tied], d2[tied] == kth[tied]
+        need = k - below.sum(axis=1, keepdims=True)
+        keep[tied] = below | (at & (np.cumsum(at, axis=1) <= need))
+        cols = np.nonzero(keep)[1].reshape(hi - lo, k)  # ascending index per row
+        dist = np.take_along_axis(d2, cols, axis=1)
+        table[lo:hi] = np.take_along_axis(cols, np.argsort(dist, axis=1, kind="stable"), axis=1)
     return table
 
 

@@ -16,7 +16,10 @@ from botopt.bayesopt import (
     SearchSpace,
     Trace,
     Trial,
+    RETUNE_EVERY,
     _ei_vector,
+    _key,
+    _to_native,
     default_dt_space,
     expected_improvement,
     latin_hypercube,
@@ -24,7 +27,7 @@ from botopt.bayesopt import (
     propose_next,
     write_trace,
 )
-from botopt.gp import KernelParams, gp_fit
+from botopt.gp import KernelParams, default_kernel_grid, gp_fit, tune_kernel
 
 from reference import ref_expected_improvement, ref_gp_predict
 
@@ -213,6 +216,8 @@ def test_failing_objective_gets_penalty_and_loop_continues():
     assert not trace.best.failed
     worst_ok = min(t.objective for t in ok)
     assert all(t.objective < worst_ok for t in failed)
+    assert all(t.error == "RuntimeError: boom" for t in failed)
+    assert all(t.error == "" for t in ok)
 
 
 def test_always_failing_objective_records_every_trial():
@@ -223,6 +228,8 @@ def test_always_failing_objective_records_every_trial():
     assert len(trace.trials) == 6
     assert all(t.failed for t in trace.trials)
     assert trace.trials[0].objective == -1.0  # one below the 0.0 default
+    # cache hits of a failed config carry the same text
+    assert [t.error for t in trace.trials] == ["ValueError: nope"] * 6
 
 
 def test_duplicates_use_cache_instead_of_reevaluating():
@@ -237,6 +244,59 @@ def test_duplicates_use_cache_instead_of_reevaluating():
     assert len(trace.trials) == 8
     assert len(calls) <= 2  # two possible configs, objective never re-runs
     assert trace.best.objective == 1.0
+
+
+def test_optimize_equals_unshared_surrogate_loop():
+    # optimize's loop rebuilt from the public GP calls, each of which
+    # computes its own squared distances; the shared, grown matrix and the
+    # reused re-tune model must not change a single trial
+    space, budget, seed, noise = default_dt_space(), 45, 3, 1e-6
+
+    def objective(config):
+        if config["max_depth"] > 40:
+            raise ArithmeticError(f"depth {config['max_depth']}")
+        return -abs(config["max_depth"] - 12) - config["min_samples_leaf"] / 7 + config["max_features_fraction"]
+
+    d = len(space.dims)
+    n_init = max(5, 2 * d)
+    init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    trials, cache = [], {}
+
+    def record(config, index):
+        key = _key(space, config)
+        if key not in cache:
+            try:
+                cache[key] = (float(objective(config)), False, "")
+            except Exception as err:
+                worst = min((t.objective for t in trials), default=0.0)
+                cache[key] = (worst - 1.0, True, f"{type(err).__name__}: {err}")
+        value, failed, error = cache[key]
+        trials.append(Trial(config, value, index, failed, error))
+
+    for i, u in enumerate(latin_hypercube(n_init, d, init_rng)):
+        record(_to_native(space, u), i)
+    kp = None
+    for i in range(n_init, budget):
+        U = np.array([[(t.config[m.name] - m.lower) / (m.upper - m.lower) for m in space.dims] for t in trials])
+        y = np.array([t.objective for t in trials])
+        y_std = (y - np.mean(y)) / (np.std(y) or 1.0)
+        if kp is None or (i - n_init) % RETUNE_EVERY == 0:
+            kp = tune_kernel(U, y_std, default_kernel_grid(), noise)
+        prop_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
+        config = propose_next(gp_fit(U, y_std, kp, noise), space, float(y_std.max()), prop_seed)
+        if _key(space, config) in cache:
+            config = _to_native(space, sub_rng.random(d))
+        record(config, i)
+
+    trace = optimize(objective, space, budget=budget, seed=seed, noise=noise)
+    assert any(t.failed for t in trials) and not all(t.failed for t in trials)
+    assert trace.trials == tuple(trials)
+
+
+def test_optimize_rejects_negative_noise():
+    with pytest.raises(ValueError, match="noise"):
+        optimize(parabola, SPACE_1D, budget=6, n_init=3, noise=-1e-6)
 
 
 def test_optimize_deterministic():

@@ -5,6 +5,7 @@ import pytest
 
 from botopt.gp import (
     KernelParams,
+    _sqdist,
     default_kernel_grid,
     gp_fit,
     gp_predict,
@@ -200,6 +201,51 @@ def test_tune_kernel_tie_keeps_first():
     first = KernelParams(1.0, 0.5)
     duplicate = KernelParams(1.0, 0.5)
     assert tune_kernel(X, y, [first, duplicate], 1e-6) is first
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+@pytest.mark.parametrize("shape", [(1, 1), (7, 1000), (200, 200)])
+def test_sqdist_bit_equal_to_axis_sum(d, shape):
+    rng = np.random.default_rng(d)
+    A, B = rng.random((shape[0], d)), rng.random((shape[1], d))
+    axis_sum = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=-1)
+    if d < 8:  # numpy sums fewer than 8 terms left to right, as _sqdist does
+        assert np.array_equal(_sqdist(A, B), axis_sum)
+    else:
+        np.testing.assert_allclose(_sqdist(A, B), axis_sum, rtol=1e-14, atol=0.0)
+
+
+def _random_design():
+    rng = np.random.default_rng(41)
+    return rng.random((30, 4)), rng.standard_normal(30)
+
+
+def _duplicate_rows_design():
+    rng = np.random.default_rng(43)
+    X = rng.random((6, 3))
+    return X[[0, 1, 2, 0, 3, 4, 5, 2, 2]], rng.standard_normal(9)
+
+
+@pytest.mark.parametrize("design, noise", [(_random_design, 1e-6), (_duplicate_rows_design, 0.0)])
+def test_tune_kernel_matches_per_candidate_evidence(design, noise):
+    # every candidate fitted on its own; the grid twice over, so each best
+    # evidence is tied and the first copy must win
+    X, y = design()
+    grid = default_kernel_grid() + default_kernel_grid()
+    evidence, jitters = [], []
+    for cand in grid:
+        try:
+            m = gp_fit(X, y, cand, noise)
+        except np.linalg.LinAlgError:
+            evidence.append(-np.inf)
+            continue
+        evidence.append(log_marginal_likelihood(m))
+        jitters.append(m.jitter)
+    best = int(np.argmax(evidence))
+    assert best < len(grid) // 2
+    assert tune_kernel(X, y, grid, noise) is grid[best]
+    if noise == 0.0:
+        assert max(jitters) > 0.0  # repeated rows make plain factorizations fail
 
 
 def test_tune_kernel_empty_grid():

@@ -244,6 +244,24 @@ def test_chunked_neighbor_search_matches_reference(monkeypatch, chunk_rows):
     np.testing.assert_array_equal(smote(d, cfg).features, whole.features)
 
 
+@pytest.mark.parametrize(
+    "pts, k",
+    [
+        (np.arange(7.0).reshape(-1, 1), 3),  # an inner point has 2 neighbors at 1 and 2 at 4
+        (np.array([[0.0, 0.0], [1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [5, 5]]), 2),
+        (np.ones((6, 2)), 3),  # every distance is a tie
+    ],
+)
+def test_neighbors_with_ties_at_the_kth_distance(pts, k):
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    kth = np.sort(d2, axis=1)[:, k - 1 : k]
+    assert np.any(np.sum(d2 <= kth, axis=1) > k)  # some row has more candidates than places
+    table = preprocess._minority_neighbors(pts, k)
+    for i in range(pts.shape[0]):
+        assert list(table[i]) == knn_indices(pts, i, k)
+
+
 def test_provenance_log_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     d = dataset(rng.random((20, 2)), [0] * 5 + [1] * 15)
