@@ -1,13 +1,13 @@
 """Binary CART classifier with exhaustive threshold search.
 
 Each feature column of a training matrix is sorted once (SLIQ, Mehta,
-Agrawal & Rissanen 1996): every node owns a contiguous segment of
-each feature's row order, and a split stable-partitions those segments so
-that both children keep their rows in ascending feature order. The split
-search at a node therefore scans already-sorted rows and never sorts. A
-training set that is fit many times, such as a CV fold across search
-trials, can share one sort between its fits. Trees grow from an explicit
-stack, so their depth is not bounded by Python's recursion limit.
+Agrawal & Rissanen 1996): the root's row orders are the training set's
+``Dataset.column_order``, which every fit on that dataset shares, and a
+split stable-partitions its node's orders into fresh arrays for the two
+children, so that both keep their rows in ascending feature order and the
+shared sort is never written. The split search at a node therefore scans
+already-sorted rows and never sorts. Trees grow from an explicit stack, so
+their depth is not bounded by Python's recursion limit.
 
 Split candidates are the midpoints of consecutive distinct sorted values of
 each allowed feature. A candidate's quality is the Gini impurity decrease
@@ -108,16 +108,6 @@ def gini(counts) -> float:
         raise ValueError("class counts sum to zero")
     p = c / total
     return float(1.0 - np.sum(p * p))
-
-
-def _presort(X: np.ndarray) -> np.ndarray:
-    """Row order of each feature column, (n_features, n_rows).
-
-    Equal values may come in any order: the split search reads class counts
-    only where the value changes, so the tree does not depend on it, and the
-    default sort is several times faster than kind="stable".
-    """
-    return np.argsort(np.ascontiguousarray(X.T), axis=1)
 
 
 def _onehot(y: np.ndarray, n_classes: int) -> np.ndarray:
@@ -223,21 +213,21 @@ def best_split(
     hp: HyperParams,
     feature_subset,
     n_classes: int | None = None,
-    pool: ThreadPoolExecutor | None = None,
 ) -> tuple[int, float, float] | None:
     """Best (feature, threshold, impurity decrease) over the allowed features,
     or None when no split has a strictly positive decrease or both children
     cannot reach min_samples_leaf."""
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if y.shape[0] < hp.min_samples_split:
         return None
+    d = Dataset(X, y, tuple(map(str, range(np.shape(X)[-1]))))
     if n_classes is None:
         n_classes = int(y.max()) + 1
     counts = np.bincount(y, minlength=n_classes)
     features = sorted(int(f) for f in feature_subset)
     return _node_split(
-        X.T, _onehot(y, n_classes), _presort(X), features, counts, hp.min_samples_leaf, pool
+        d.features.T, _onehot(y, n_classes), d.column_order, features, counts,
+        hp.min_samples_leaf, None,
     )
 
 
@@ -250,14 +240,6 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
     drawn from one seeded generator in preorder (node, left subtree, right
     subtree), so the tree is a pure function of (data, hp, seed).
     """
-    return _fit_presorted(train, _presort(train.features), hp, seed, n_threads)
-
-
-def _fit_presorted(
-    train: Dataset, order: np.ndarray, hp: HyperParams, seed: int, n_threads: int
-) -> TreeModel:
-    """fit_tree given ``_presort(train.features)``, which is left unchanged,
-    so that several fits on one training set share one sort."""
     X, y = train.features, train.labels
     n_rows, n_features = X.shape
     n_classes = max(2, int(y.max()) + 1)
@@ -265,8 +247,6 @@ def _fit_presorted(
     rng = np.random.default_rng(seed)
     columns = np.ascontiguousarray(X.T)
     onehot = _onehot(y, n_classes)
-    # each node owns the columns [start, end) of every feature's row order
-    order = order.copy()
     goes_left = np.zeros(n_rows, dtype=bool)
     pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
 
@@ -274,35 +254,33 @@ def _fit_presorted(
     # left subtree follows it and whose right subtree follows that
     preorder: list[Leaf | tuple[int, float]] = []
     depth = 0
-    stack = [(0, n_rows, 0)]  # (start, end, depth); the left child is popped first
+    # (the node's rows in each feature's order, depth); the left child is popped first
+    stack = [(train.column_order, 0)]
     try:
         while stack:
-            start, end, level = stack.pop()
-            n = end - start
-            counts = np.bincount(y[order[0, start:end]], minlength=n_classes)
+            order, level = stack.pop()
+            n = order.shape[1]
+            counts = np.bincount(y[order[0]], minlength=n_classes)
             found = None
             if level < hp.max_depth and n >= hp.min_samples_split and counts.max() < n:
                 subset = np.sort(rng.choice(n_features, size=m_feat, replace=False)).tolist()
-                segment = order[:, start:end]
                 found = _node_split(
-                    columns, onehot, segment, subset, counts, hp.min_samples_leaf, pool
+                    columns, onehot, order, subset, counts, hp.min_samples_leaf, pool
                 )
             if found is not None:
                 f, thr, _ = found
-                rows = segment[f]
+                rows = order[f]
                 n_left = int(np.searchsorted(columns[f][rows], thr, side="right"))
                 if 0 < n_left < n:  # else the midpoint rounded onto a data value
                     goes_left[rows[:n_left]] = True
                     goes_left[rows[n_left:]] = False
                     # stable partition keeps each feature's order within both children
-                    mask = np.take(goes_left, segment).ravel()
-                    left = np.compress(mask, segment).reshape(n_features, n_left)
-                    right = np.compress(~mask, segment).reshape(n_features, n - n_left)
-                    segment[:, :n_left] = left
-                    segment[:, n_left:] = right
+                    mask = np.take(goes_left, order).ravel()
+                    left = np.compress(mask, order).reshape(n_features, n_left)
+                    right = np.compress(~mask, order).reshape(n_features, n - n_left)
                     preorder.append((f, thr))
-                    stack.append((start + n_left, end, level + 1))
-                    stack.append((start, start + n_left, level + 1))
+                    stack.append((right, level + 1))
+                    stack.append((left, level + 1))
                     continue
             counts.flags.writeable = False
             preorder.append(Leaf(counts=counts, majority=int(np.argmax(counts))))
@@ -351,15 +329,14 @@ def dump_tree(t: TreeModel, feature_names=None) -> str:
     """Indented one-line-per-node text rendering for inspection."""
     names = feature_names or [f"f{i}" for i in range(t.n_features)]
     lines: list[str] = []
-
-    def walk(node: Leaf | Split, indent: int) -> None:
+    stack: list[tuple[Leaf | Split, int]] = [(t.root, 0)]  # (node, indent), preorder
+    while stack:
+        node, indent = stack.pop()
         pad = "  " * indent
         if isinstance(node, Leaf):
-            lines.append(f"{pad}leaf class={node.majority} counts={list(node.counts)}")
+            lines.append(f"{pad}leaf class={node.majority} counts={node.counts.tolist()}")
         else:
             lines.append(f"{pad}{names[node.feature]} <= {node.threshold!r}")
-            walk(node.left, indent + 1)
-            walk(node.right, indent + 1)
-
-    walk(t.root, 0)
+            stack.append((node.right, indent + 1))
+            stack.append((node.left, indent + 1))
     return "\n".join(lines)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,19 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def column_order(self) -> np.ndarray:
+        """Read-only row order of each feature column, (n_features, n_rows),
+        computed on first use; every tree fit on this dataset shares it.
+
+        Equal values may come in any order: the split search reads class
+        counts only where the value changes, so a tree does not depend on
+        it, and the default sort is several times faster than kind="stable".
+        """
+        order = np.argsort(np.ascontiguousarray(self.features.T), axis=1)
+        order.flags.writeable = False
+        return order
 
     def take(self, indices: np.ndarray) -> "Dataset":
         """Row subset in the given index order."""

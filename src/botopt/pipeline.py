@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .bayesopt import Dim, SearchSpace, Trace, default_dt_space, optimize
-from .dtree import HyperParams, TreeModel, _fit_presorted, _presort, predict_many
+from .dtree import HyperParams, TreeModel, fit_tree, predict_many
 from .ingest import Dataset, SplitPair, class_counts, load_flows, stratified_split
 from .metrics import MetricsReport, compute_metrics, confusion, metrics_to_text
 from .preprocess import SmoteConfig, fit_minmax, scale_dataset, smote
@@ -113,25 +114,23 @@ class RunReport:
     optimized_metrics: MetricsReport
     baseline_metrics: MetricsReport
     timings: dict[str, float]
-    default_cv_objective: float | None = None
-    optimized_tree: TreeModel | None = None
-    baseline_tree: TreeModel | None = None
+    default_cv_objective: float
+    optimized_tree: TreeModel
+    baseline_tree: TreeModel
 
 
-class _StageClock:
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-
-    def run(self, name: str, fn: Callable):
-        start = time.perf_counter()
-        try:
-            result = fn()
-        except PipelineError:
-            raise
-        except Exception as err:
-            raise PipelineError(f"stage {name!r} failed: {err}") from err
-        self.timings[name] = time.perf_counter() - start
-        return result
+@contextmanager
+def _stage(timings: dict[str, float], name: str):
+    """Record the block's seconds as stage ``name``; a failure other than a
+    PipelineError is raised again as one that names the stage."""
+    start = time.perf_counter()
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as err:
+        raise PipelineError(f"stage {name!r} failed: {err}") from err
+    timings[name] = time.perf_counter() - start
 
 
 def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
@@ -158,24 +157,24 @@ def make_cv_objective(
 ) -> Callable[[dict], float]:
     """Mean macro F-score over stratified CV folds as a tuning objective.
 
-    Each fold's training part is oversampled and its feature columns sorted
-    once up front (neither depends on the candidate hyperparameters), so all
-    trials share them; validation folds stay untouched so synthetic rows
-    never leak into scoring.
+    Each fold's training part is oversampled once up front (it does not
+    depend on the candidate hyperparameters), so all trials share it and,
+    through ``Dataset.column_order``, its column sort; validation folds stay
+    untouched so synthetic rows never leak into scoring.
     """
     all_idx = np.arange(train.n_rows)
-    prepared: list[tuple[Dataset, np.ndarray, Dataset]] = []
+    prepared: list[tuple[Dataset, Dataset]] = []
     for j, val_idx in enumerate(folds):
         tr_idx = np.setdiff1d(all_idx, val_idx, assume_unique=False)
         fold_train = train.take(tr_idx)
         aug = smote(fold_train, replace(smote_cfg, seed=smote_cfg.seed + j))
-        prepared.append((aug, _presort(aug.features), train.take(val_idx)))
+        prepared.append((aug, train.take(val_idx)))
 
     def objective(config: dict) -> float:
         hp = HyperParams(**config)
         scores = [
-            score(_fit_presorted(aug, order, hp, tree_seed + j, n_threads), val).macro_f_score
-            for j, (aug, order, val) in enumerate(prepared)
+            score(fit_tree(aug, hp, tree_seed + j, n_threads), val).macro_f_score
+            for j, (aug, val) in enumerate(prepared)
         ]
         return float(np.mean(scores))
 
@@ -209,20 +208,18 @@ def load_dataset(cfg: PipelineConfig) -> Dataset:
 
 
 def prepare(
-    cfg: PipelineConfig, data: Dataset, clock: _StageClock | None = None
+    cfg: PipelineConfig, data: Dataset, timings: dict[str, float] | None = None
 ) -> tuple[Dataset, Dataset, SmoteConfig]:
     """Stratified split, leakage check and min-max scaling fit on the
     training side: (scaled train, scaled test, the run's SMOTE settings).
-    Records the "split" and "normalize" stage timings on ``clock``."""
-    clock = clock or _StageClock()
-    split = clock.run("split", lambda: stratified_split(data, cfg.test_fraction, cfg.seed))
+    Records the "split" and "normalize" stage timings in ``timings``."""
+    timings = {} if timings is None else timings
+    with _stage(timings, "split"):
+        split = stratified_split(data, cfg.test_fraction, cfg.seed)
     _assert_no_leakage(split, data.n_rows)
-
-    def normalize() -> tuple[Dataset, Dataset]:
+    with _stage(timings, "normalize"):
         scaler = fit_minmax(split.train)
-        return scale_dataset(scaler, split.train), scale_dataset(scaler, split.test)
-
-    train_s, test_s = clock.run("normalize", normalize)
+        train_s, test_s = scale_dataset(scaler, split.train), scale_dataset(scaler, split.test)
     return train_s, test_s, SmoteConfig(k=cfg.smote_k, target_ratio=cfg.smote_ratio, seed=cfg.seed)
 
 
@@ -247,41 +244,39 @@ def search(
 def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> RunReport:
     """Execute the full pipeline; deterministic given (config, seed) apart
     from the recorded wall-clock timings."""
-    clock = _StageClock()
-    data = clock.run("load", lambda: dataset if dataset is not None else load_dataset(cfg))
-    train_s, test_s, smote_cfg = prepare(cfg, data, clock)
+    timings: dict[str, float] = {}
+    with _stage(timings, "load"):
+        data = dataset if dataset is not None else load_dataset(cfg)
+    train_s, test_s, smote_cfg = prepare(cfg, data, timings)
 
-    def tune() -> tuple[Trace, float]:
+    with _stage(timings, "tune"):
         trace, objective = search(cfg, train_s, smote_cfg)
         # the default setting is always a candidate: with a small budget the
         # search may never sample anything that scores as well, and selecting
         # a config that is known-worse on the tuning objective would make the
         # "tuned" arm regress for no reason
-        return trace, objective(asdict(DEFAULT_HP))
-
-    trace, default_cv = clock.run("tune", tune)
+        default_cv = objective(asdict(DEFAULT_HP))
+        del objective  # frees every fold's data and column sort before the final fits
     best_hp = DEFAULT_HP if default_cv >= trace.best.objective else HyperParams(**trace.best.config)
 
     counts_before = class_counts(train_s)
-    augmented = clock.run("oversample", lambda: smote(train_s, smote_cfg))
+    with _stage(timings, "oversample"):
+        augmented = smote(train_s, smote_cfg)
     counts_after = class_counts(augmented)
 
-    def fit_optimized() -> tuple[np.ndarray, TreeModel]:
-        order = _presort(augmented.features)  # the baseline fit shares it
-        return order, _fit_presorted(augmented, order, best_hp, cfg.seed, cfg.n_threads)
-
-    order, optimized_tree = clock.run("fit_optimized", fit_optimized)
+    with _stage(timings, "fit_optimized"):
+        optimized_tree = fit_tree(augmented, best_hp, cfg.seed, cfg.n_threads)
     # the same data, settings and seed grow the same tree, so a winning
-    # default is not grown twice
-    baseline_tree = clock.run(
-        "fit_baseline",
-        lambda: optimized_tree
-        if best_hp == DEFAULT_HP
-        else _fit_presorted(augmented, order, DEFAULT_HP, cfg.seed, cfg.n_threads),
-    )
-    optimized_metrics, baseline_metrics = clock.run(
-        "evaluate", lambda: (score(optimized_tree, test_s), score(baseline_tree, test_s))
-    )
+    # default is not grown twice; a losing one shares augmented's column sort
+    with _stage(timings, "fit_baseline"):
+        baseline_tree = (
+            optimized_tree
+            if best_hp == DEFAULT_HP
+            else fit_tree(augmented, DEFAULT_HP, cfg.seed, cfg.n_threads)
+        )
+    with _stage(timings, "evaluate"):
+        optimized_metrics = score(optimized_tree, test_s)
+        baseline_metrics = score(baseline_tree, test_s)
 
     return RunReport(
         seed=cfg.seed,
@@ -292,7 +287,7 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> RunRepo
         baseline_hp=DEFAULT_HP,
         optimized_metrics=optimized_metrics,
         baseline_metrics=baseline_metrics,
-        timings=clock.timings,
+        timings=timings,
         default_cv_objective=default_cv,
         optimized_tree=optimized_tree,
         baseline_tree=baseline_tree,
@@ -308,12 +303,8 @@ def report_to_text(report: RunReport) -> str:
         f"training class counts before oversampling: {report.counts_before}",
         f"training class counts after oversampling: {report.counts_after}",
         f"tuning trials: {len(report.trace.trials)}, best objective "
-        f"{report.trace.best.objective:.6f} at trial {report.trace.best.index}"
-        + (
-            f"; default-settings CV objective {report.default_cv_objective:.6f}"
-            if report.default_cv_objective is not None
-            else ""
-        ),
+        f"{report.trace.best.objective:.6f} at trial {report.trace.best.index}; "
+        f"default-settings CV objective {report.default_cv_objective:.6f}",
         "chosen hyperparameters: "
         f"max_depth={hp.max_depth}, min_samples_split={hp.min_samples_split}, "
         f"min_samples_leaf={hp.min_samples_leaf}, "

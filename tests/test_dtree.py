@@ -10,7 +10,6 @@ from botopt.dtree import (
     HyperParams,
     Leaf,
     Split,
-    _fit_presorted,
     best_split,
     dump_tree,
     fit_tree,
@@ -199,10 +198,30 @@ def test_tree_does_not_depend_on_the_order_of_equal_values():
     ascending = np.argsort(X, axis=0, kind="stable").T  # equal values by ascending row
     descending = (X.shape[0] - 1 - np.argsort(X[::-1], axis=0, kind="stable")).T
     assert not np.array_equal(ascending, descending)
-    a = _fit_presorted(d, np.ascontiguousarray(ascending), hp, seed=0, n_threads=1)
-    b = _fit_presorted(d, np.ascontiguousarray(descending), hp, seed=0, n_threads=1)
-    assert dump_tree(a) == dump_tree(b)
-    assert dump_tree(a) == dump_tree(fit_tree(d, hp, seed=0))
+    texts = []
+    for order in map(np.ascontiguousarray, (ascending, descending)):
+        given = dataset(X, y)
+        given.__dict__["column_order"] = order  # where cached_property keeps it
+        texts.append(dump_tree(fit_tree(given, hp, seed=0)))
+        assert given.column_order is order
+    assert texts[0] == texts[1] == dump_tree(fit_tree(d, hp, seed=0))
+
+
+def test_fits_share_the_datasets_column_order():
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, 6, (300, 3)).astype(float)  # many equal values
+    d = dataset(X, rng.integers(0, 2, 300))
+    order = d.column_order
+    before = order.copy()
+    fit_tree(d, HP_OPEN, seed=0)
+    fit_tree(d, HyperParams(max_depth=3, max_features_fraction=0.5), seed=1)
+    assert d.column_order is order
+    assert not order.flags.writeable
+    assert np.array_equal(order, before)
+    assert order.shape == (3, 300)
+    for f in range(3):
+        assert np.array_equal(np.sort(order[f]), np.arange(300))
+        assert np.all(np.diff(X[order[f], f]) >= 0)
 
 
 def test_fit_leaves_no_reference_cycles():
@@ -230,10 +249,12 @@ def test_fit_tree_needs_no_recursion_headroom():
     sys.setrecursionlimit(depth_now + 40)
     try:
         t = fit_tree(d, HyperParams(max_depth=n), seed=0)
+        text = dump_tree(t)
     finally:
         sys.setrecursionlimit(limit)
     assert t.depth == n - 1
     assert list(predict_many(t, d.features)) == list(d.labels)
+    assert text.count("leaf") == n
 
 
 def test_predict_routes_left_on_equality():
@@ -351,9 +372,11 @@ def test_leaf_tie_breaks_toward_class_zero():
 def test_dump_tree_lists_every_node():
     d = dataset([0.0, 1.0, 2.0, 3.0], [0, 0, 1, 1])
     t = fit_tree(d, HP_OPEN, seed=0)
-    text = dump_tree(t, feature_names=["rate"])
-    assert "rate <= 1.5" in text
-    assert text.count("leaf") == 2
+    assert dump_tree(t, feature_names=["rate"]) == (
+        "rate <= 1.5\n"
+        "  leaf class=0 counts=[2, 0]\n"
+        "  leaf class=1 counts=[0, 2]"
+    )
 
 
 def test_hyperparams_validation():
