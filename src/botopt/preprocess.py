@@ -35,7 +35,9 @@ __all__ = [
 ]
 
 
-# Bytes of the (rows, n_min, n_features) difference tensor of one kNN chunk.
+# Bytes of the two (rows, n_min, n_features) gathers of one kNN chunk, the
+# two sides of its differences, in the worst case of every pair a candidate;
+# the filter's (rows, n_min) arrays are n_features times smaller.
 _KNN_CHUNK_BYTES = 8 << 20
 
 
@@ -103,27 +105,48 @@ def _minority_class(counts: dict[int, int]) -> tuple[int, int, int]:
 
 
 def _minority_neighbors(pts: np.ndarray, k: int) -> np.ndarray:
-    """k nearest neighbors of each point (squared Euclidean), self excluded,
-    ordered by (distance, row index): the head of a stable sort, found by
-    selecting the k-th distance. Rows are taken in chunks whose difference
-    tensor stays within _KNN_CHUNK_BYTES, or one row at a time when a single
-    row exceeds it."""
+    """k nearest neighbors of each point, never the point itself, ordered by
+    (d, row index) where d = np.sum((pts[i] - pts[j]) ** 2, axis=-1) is the
+    exact squared distance, inf where it overflows.
+
+    Filter: per chunk of rows, one matrix product gives the Gram form
+    g = |q_i|^2 + |q_j|^2 - 2 q_i.q_j of q = pts * 2^e, scaled by a power of
+    two so that no entry of q reaches 1. In q's units, g and d differ by at
+    most slack_i: both forms' rounding, d's underflow and a 4x margin. So
+    the first k by d are among the j with g_ij <= g_(k) + 2 slack_i. g is
+    clamped at a quarter of d's overflow threshold, where every pair whose
+    d may be inf ties. Refine: only those candidates get d, and are ordered
+    by (d, index). A chunk has as many rows as keep the worst case, every
+    pair a candidate, within _KNN_CHUNK_BYTES."""
     n, n_features = pts.shape
-    step = max(1, _KNN_CHUNK_BYTES // (8 * n * n_features))
+    e = -int(np.frexp(np.max(np.abs(pts)))[1])
+    step = max(1, _KNN_CHUNK_BYTES // (16 * n * n_features))
     table = np.empty((n, k), dtype=np.intp)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        d2 = np.sum((pts[lo:hi, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-        keep = d2 <= kth
-        tied = np.flatnonzero(keep.sum(axis=1) > k)  # keep their lowest-index ties only
-        below, at = d2[tied] < kth[tied], d2[tied] == kth[tied]
-        need = k - below.sum(axis=1, keepdims=True)
-        keep[tied] = below | (at & (np.cumsum(at, axis=1) <= need))
-        cols = np.nonzero(keep)[1].reshape(hi - lo, k)  # ascending index per row
-        dist = np.take_along_axis(d2, cols, axis=1)
-        table[lo:hi] = np.take_along_axis(cols, np.argsort(dist, axis=1, kind="stable"), axis=1)
+    with np.errstate(over="ignore"):  # inf d ties; an inf cap or slack only adds candidates
+        q = np.ldexp(pts, e)
+        norms, minus_2q = np.einsum("ij,ij->i", q, q), -2.0 * q
+        cap = np.ldexp(1.0, 1022 + 2 * e)
+        unit = 8 * (n_features + 4) * np.finfo(np.float64).eps
+        slack = unit * (norms + norms.max()) + np.ldexp(n_features + 4.0, 2 * e - 1074)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            own = np.arange(hi - lo), np.arange(lo, hi)
+            g = q[lo:hi] @ minus_2q.T
+            g += norms
+            g += norms[lo:hi, None]
+            np.minimum(g, cap, out=g)
+            g[own] = np.inf
+            kth = np.partition(g, k - 1, axis=1)[:, k - 1]
+            keep = g <= (kth + 2.0 * slack[lo:hi])[:, None]
+            keep[own] = False
+            r, c = np.divmod(np.flatnonzero(keep), n)
+            diff = np.take(pts, lo + r, axis=0)
+            diff -= np.take(pts, c, axis=0)
+            diff *= diff
+            d = np.sum(diff, axis=-1)  # bit for bit np.sum((pts[i] - pts[j]) ** 2, axis=-1)
+            starts = np.searchsorted(r, np.arange(hi - lo))
+            first = np.lexsort((d, r))[starts[:, None] + np.arange(k)]  # stable: c ascends within r
+            table[lo:hi] = c[first]
     return table
 
 

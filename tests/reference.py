@@ -191,13 +191,32 @@ def ref_smote_points(points, k, seed, n_syn):
 def knn_indices(points, i, k):
     """k nearest neighbors of row i (squared Euclidean, index tie-break)."""
     points = np.asarray(points, dtype=float)
-    others = [
-        (float(np.sum((points[i] - points[j]) ** 2)), j)
-        for j in range(points.shape[0])
-        if j != i
-    ]
+    with np.errstate(over="ignore"):  # an overflowing distance is inf, tied by index
+        others = [
+            (float(np.sum((points[i] - points[j]) ** 2)), j)
+            for j in range(points.shape[0])
+            if j != i
+        ]
     others.sort()
     return [j for _, j in others[:k]]
+
+
+def ref_dense_neighbors(points, k):
+    """knn_indices for every row at once: the full (rows, n, n_features)
+    difference tensor of a chunk of rows, the row's own column dropped, then
+    a stable sort of each row's distances."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    table = np.empty((n, k), dtype=np.intp)
+    for lo in range(0, n, 64):
+        rows = np.arange(lo, min(lo + 64, n))
+        others = np.arange(n)[None, :] != rows[:, None]
+        with np.errstate(over="ignore"):
+            d2 = np.sum((points[rows, None, :] - points[None, :, :]) ** 2, axis=-1)
+        cols = np.broadcast_to(np.arange(n), others.shape)[others].reshape(len(rows), n - 1)
+        order = np.argsort(d2[others].reshape(len(rows), n - 1), axis=1, kind="stable")
+        table[rows] = np.take_along_axis(cols, order[:, :k], axis=1)
+    return table
 
 
 # --- PCA ---------------------------------------------------------------------

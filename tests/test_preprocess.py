@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from botopt.preprocess import (
     write_smote_log,
 )
 
-from reference import knn_indices, ref_smote_points
+from reference import knn_indices, ref_dense_neighbors, ref_smote_points
 
 
 def dataset(features, labels):
@@ -237,7 +239,7 @@ def test_chunked_neighbor_search_matches_reference(monkeypatch, chunk_rows):
     d = dataset(np.vstack([pts, rng.random((40, 2)) + 5.0]), [0] * 23 + [1] * 40)
     cfg = SmoteConfig(k=4, target_ratio=1.0, seed=chunk_rows)
     whole = smote(d, cfg)
-    monkeypatch.setattr(preprocess, "_KNN_CHUNK_BYTES", 8 * pts.size * chunk_rows)
+    monkeypatch.setattr(preprocess, "_KNN_CHUNK_BYTES", 16 * pts.size * chunk_rows)
     table = preprocess._minority_neighbors(pts, 4)
     for i in range(pts.shape[0]):
         assert list(table[i]) == knn_indices(pts, i, 4)
@@ -250,16 +252,65 @@ def test_chunked_neighbor_search_matches_reference(monkeypatch, chunk_rows):
         (np.arange(7.0).reshape(-1, 1), 3),  # an inner point has 2 neighbors at 1 and 2 at 4
         (np.array([[0.0, 0.0], [1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [5, 5]]), 2),
         (np.ones((6, 2)), 3),  # every distance is a tie
+        (np.arange(12.0).reshape(6, 2) * 1e200, 2),  # all inf; the row's own inf must not win
     ],
 )
 def test_neighbors_with_ties_at_the_kth_distance(pts, k):
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    with np.errstate(over="ignore"):
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d2, np.inf)
     kth = np.sort(d2, axis=1)[:, k - 1 : k]
     assert np.any(np.sum(d2 <= kth, axis=1) > k)  # some row has more candidates than places
     table = preprocess._minority_neighbors(pts, k)
     for i in range(pts.shape[0]):
         assert list(table[i]) == knn_indices(pts, i, k)
+
+
+@st.composite
+def neighbor_inputs(draw):
+    n = draw(st.integers(2, 90))
+    n_features = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.integers(0, draw(st.integers(1, 4)), size=(n, n_features)).astype(float)
+    shape = draw(st.sampled_from(["scale", "mixed columns", "duplicated rows"]))
+    if shape == "scale":
+        pts *= draw(st.sampled_from([1.0, 1e-200, 1e200, 1e-310, 1e-322]))
+    elif shape == "mixed columns":
+        pts *= 10.0 ** rng.integers(-300, 300, size=n_features)
+    else:
+        pts = pts[rng.integers(0, n, size=n)]
+    k = draw(st.integers(1, min(n - 1, 6)))
+    chunk_rows = draw(st.sampled_from([1, 2, 5, 64]))
+    return pts, k, 16 * pts.size * chunk_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=neighbor_inputs())
+def test_filtered_neighbors_equal_the_dense_reference(case):
+    pts, k, chunk_bytes = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(preprocess, "_KNN_CHUNK_BYTES", chunk_bytes)
+        table = preprocess._minority_neighbors(pts, k)
+    np.testing.assert_array_equal(table, ref_dense_neighbors(pts, k))
+    if pts.shape[0] <= 60:
+        assert table.tolist() == [knn_indices(pts, i, k) for i in range(pts.shape[0])]
+
+
+def test_neighbors_at_the_eval_file_size_equal_the_dense_reference():
+    pts = np.random.default_rng(3).random((3200, 10))
+    np.testing.assert_array_equal(preprocess._minority_neighbors(pts, 5), ref_dense_neighbors(pts, 5))
+
+
+def test_neighbor_search_holds_no_dense_difference_tensor():
+    # a few candidates per row: far from the (rows, n, n_features) gathers of all-pairs input
+    pts = np.random.default_rng(4).random((3200, 10))
+    tracemalloc.start()
+    try:
+        preprocess._minority_neighbors(pts, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < preprocess._KNN_CHUNK_BYTES
 
 
 def test_provenance_log_round_trip(tmp_path):
