@@ -141,3 +141,34 @@ def test_space_flag_overrides_search_space(flows_csv, tmp_path, capsys):
 def test_missing_data_is_a_clean_error():
     with pytest.raises(SystemExit, match="no data file"):
         main(["tune", "--seed", "1"])
+
+
+def test_cli_run_fixes_glibc_malloc_thresholds(flows_csv, monkeypatch, capsys):
+    """Every command sets glibc's mmap and trim thresholds, once each, before
+    it runs; elsewhere the setting is skipped without error."""
+    import botopt.cli as cli
+
+    calls = []
+
+    class FakeLibc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: FakeLibc())
+    monkeypatch.setattr(cli.sys, "platform", "linux")
+    assert main(["eval", "--data", flows_csv, "--seed", "3", "--max-depth", "2"]) == 0
+    assert calls == [(-3, 1 << 20), (-1, 8 << 20)]
+
+    calls.clear()
+    monkeypatch.setattr(cli.sys, "platform", "darwin")
+    assert main(["eval", "--data", flows_csv, "--seed", "3", "--max-depth", "2"]) == 0
+    assert calls == []
+
+    class NoMallopt:
+        pass
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: NoMallopt())
+    monkeypatch.setattr(cli.sys, "platform", "linux")
+    assert main(["eval", "--data", flows_csv, "--seed", "3", "--max-depth", "2"]) == 0
+    capsys.readouterr()
