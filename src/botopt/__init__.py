@@ -11,7 +11,7 @@ from .bayesopt import (
     propose_next,
     write_trace,
 )
-from .dtree import HyperParams, TreeModel, best_split, dump_tree, fit_tree, gini, predict, predict_many
+from .dtree import HyperParams, TreeModel, best_split, dump_tree, fit_tree, predict, predict_many
 from .gp import (
     GPModel,
     KernelParams,

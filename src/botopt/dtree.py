@@ -9,8 +9,11 @@ shared sort is never written. The split search at a node therefore scans
 already-sorted rows and never sorts. Trees grow from an explicit stack, so
 their depth is not bounded by Python's recursion limit.
 
-Split candidates are the midpoints of consecutive distinct sorted values of
-each allowed feature. A candidate's quality is the Gini impurity decrease
+Labels are 0 (normal) and 1 (attack), which ``Dataset`` enforces. Split
+candidates are the midpoints of consecutive distinct sorted values of each
+allowed feature; one cumulative sum of the labels in that feature's order
+gives the attack count left of every cut, and the normal count is the rest.
+A candidate's quality is the Gini impurity decrease
 
     dec = g(parent) - (nl/n) g(left) - (nr/n) g(right)
         = (n*nr*S_l + n*nl*S_r - nl*nr*S_p) / (n^2 * nl * nr)
@@ -43,7 +46,6 @@ __all__ = [
     "Leaf",
     "Split",
     "TreeModel",
-    "gini",
     "best_split",
     "fit_tree",
     "predict",
@@ -77,8 +79,8 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class Leaf:
-    counts: np.ndarray  # class counts of the rows routed here during fit
-    majority: int       # argmax of counts; ties resolve to the lowest class id
+    counts: np.ndarray  # [normal, attack] counts of the rows routed here during fit
+    majority: int       # argmax of counts; a tie resolves to 0 (normal)
 
 
 @dataclass(frozen=True)
@@ -93,34 +95,15 @@ class Split:
 class TreeModel:
     root: Leaf | Split
     n_features: int
-    n_classes: int
     depth: int
     hp: HyperParams
 
 
-def gini(counts) -> float:
-    """1 - sum((c_i / sum(c))^2); 0 for a pure node."""
-    c = np.asarray(counts, dtype=np.float64)
-    if np.any(c < 0):
-        raise ValueError("class counts must be non-negative")
-    total = c.sum()
-    if total < 1:
-        raise ValueError("class counts sum to zero")
-    p = c / total
-    return float(1.0 - np.sum(p * p))
-
-
-def _onehot(y: np.ndarray, n_classes: int) -> np.ndarray:
-    """Class-major float64 indicator matrix, (n_classes, n_rows)."""
-    return np.ascontiguousarray(np.eye(n_classes)[y].T)
-
-
-def _feature_candidates(x, onehot, rows, min_leaf, sum_p2, feature):
+def _feature_candidates(x, attack, rows, min_leaf, sum_p2, feature):
     """Band of near-best candidates for one feature, given a node's rows in
-    ascending order of that feature's values x and the class-major one-hot
-    labels (n_classes, n_rows) as float64.
+    ascending order of that feature's values x and the float64 0/1 labels.
 
-    Returns (feature_best_float, [(dec, feature, threshold, nl, counts_left)]),
+    Returns (feature_best_float, [(dec, feature, threshold, nl, attack_left)]),
     or None when the feature admits no positive-decrease split.
     """
     xs = x[rows]
@@ -134,13 +117,13 @@ def _feature_candidates(x, onehot, rows, min_leaf, sum_p2, feature):
 
     # class counts and their sums of squares are integers below 2**53, so
     # they are exact in float64 whatever the summation order
-    cum = np.cumsum(np.take(onehot, rows, axis=1), axis=1)
-    cl = np.take(cum, cut, axis=1)  # np.take: far faster than cum[:, cut]
-    cr = cum[:, -1:] - cl
+    cum = np.cumsum(np.take(attack, rows))
+    al = np.take(cum, cut)  # np.take: far faster than cum[cut]
+    ar = cum[-1] - al
     nlf = nl.astype(np.float64)
     nrf = n - nlf
-    sl = np.einsum("ij,ij->j", cl, cl)
-    sr = np.einsum("ij,ij->j", cr, cr)
+    sl = (nlf - al) ** 2 + al**2
+    sr = (nrf - ar) ** 2 + ar**2
     dec = (n * nrf * sl + n * nlf * sr - nlf * nrf * sum_p2) / (n * n * nlf * nrf)
 
     fbest = float(dec.max())
@@ -150,29 +133,31 @@ def _feature_candidates(x, onehot, rows, min_leaf, sum_p2, feature):
     sel = np.flatnonzero(dec >= floor if floor > 0.0 else dec > 0.0)
     thresholds = (xs[cut[sel]] + xs[cut[sel] + 1]) / 2.0
     candidates = [
-        (float(dec[i]), feature, float(t), int(nl[i]), tuple(int(v) for v in cl[:, i]))
+        (float(dec[i]), feature, float(t), int(nl[i]), int(al[i]))
         for i, t in zip(sel, thresholds)
     ]
     return fbest, candidates
 
 
-def _exact_decrease(n: int, nl: int, counts_left, counts_parent) -> Fraction:
-    sl = sum(c * c for c in counts_left)
-    sr = sum((p - c) * (p - c) for p, c in zip(counts_parent, counts_left))
-    sp = sum(p * p for p in counts_parent)
+def _exact_decrease(n: int, nl: int, attack_left: int, n_attack: int) -> Fraction:
     nr = n - nl
+    attack_right = n_attack - attack_left
+    sl = (nl - attack_left) ** 2 + attack_left**2
+    sr = (nr - attack_right) ** 2 + attack_right**2
+    sp = (n - n_attack) ** 2 + n_attack**2
     return Fraction(n * nr * sl + n * nl * sr - nl * nr * sp, n * n * nl * nr)
 
 
-def _node_split(columns, onehot, order, features, counts, min_leaf, pool):
+def _node_split(columns, attack, order, features, counts, min_leaf, pool):
     """Best (feature, threshold, impurity decrease) of one node, or None.
 
     ``order[f]`` lists the node's rows in ascending order of ``columns[f]``;
-    ``counts`` are the node's class counts; ``features`` is ascending.
+    ``counts`` are the node's [normal, attack] counts; ``features`` is
+    ascending.
     """
     n = order.shape[1]
     sum_p2 = float(np.sum(counts.astype(np.float64) ** 2))
-    args = [(columns[f], onehot, order[f], min_leaf, sum_p2, f) for f in features]
+    args = [(columns[f], attack, order[f], min_leaf, sum_p2, f) for f in features]
     if pool is not None:
         results = list(pool.map(lambda a: _feature_candidates(*a), args))
     else:
@@ -195,11 +180,11 @@ def _node_split(columns, onehot, order, features, counts, min_leaf, pool):
         dec, f, thr, _, _ = finalists[0]
         return f, thr, dec
 
-    parent_counts = tuple(int(v) for v in counts)
+    n_attack = int(counts[1])
     best = None
     best_exact = None
-    for dec, f, thr, nl, cl in finalists:  # already in (feature, threshold) order
-        exact = _exact_decrease(n, nl, cl, parent_counts)
+    for dec, f, thr, nl, al in finalists:  # already in (feature, threshold) order
+        exact = _exact_decrease(n, nl, al, n_attack)
         if best_exact is None or exact > best_exact:
             best, best_exact = (f, thr, dec), exact
     if best_exact <= 0:
@@ -208,26 +193,18 @@ def _node_split(columns, onehot, order, features, counts, min_leaf, pool):
 
 
 def best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    hp: HyperParams,
-    feature_subset,
-    n_classes: int | None = None,
+    X: np.ndarray, y: np.ndarray, hp: HyperParams, feature_subset
 ) -> tuple[int, float, float] | None:
     """Best (feature, threshold, impurity decrease) over the allowed features,
     or None when no split has a strictly positive decrease or both children
-    cannot reach min_samples_leaf."""
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape[0] < hp.min_samples_split:
+    cannot reach min_samples_leaf. Labels y are 0 (normal) or 1 (attack)."""
+    if np.shape(y)[0] < hp.min_samples_split:
         return None
     d = Dataset(X, y, tuple(map(str, range(np.shape(X)[-1]))))
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    counts = np.bincount(y, minlength=n_classes)
     features = sorted(int(f) for f in feature_subset)
     return _node_split(
-        d.features.T, _onehot(y, n_classes), d.column_order, features, counts,
-        hp.min_samples_leaf, None,
+        d.features.T, d.labels.astype(np.float64), d.column_order, features,
+        np.bincount(d.labels, minlength=2), hp.min_samples_leaf, None,
     )
 
 
@@ -242,11 +219,10 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
     """
     X, y = train.features, train.labels
     n_rows, n_features = X.shape
-    n_classes = max(2, int(y.max()) + 1)
     m_feat = ceil(hp.max_features_fraction * n_features)
     rng = np.random.default_rng(seed)
     columns = np.ascontiguousarray(X.T)
-    onehot = _onehot(y, n_classes)
+    attack = y.astype(np.float64)
     goes_left = np.zeros(n_rows, dtype=bool)
     pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
 
@@ -260,12 +236,12 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
         while stack:
             order, level = stack.pop()
             n = order.shape[1]
-            counts = np.bincount(y[order[0]], minlength=n_classes)
+            counts = np.bincount(y[order[0]], minlength=2)
             found = None
             if level < hp.max_depth and n >= hp.min_samples_split and counts.max() < n:
                 subset = np.sort(rng.choice(n_features, size=m_feat, replace=False)).tolist()
                 found = _node_split(
-                    columns, onehot, order, subset, counts, hp.min_samples_leaf, pool
+                    columns, attack, order, subset, counts, hp.min_samples_leaf, pool
                 )
             if found is not None:
                 f, thr, _ = found
@@ -296,7 +272,7 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
         else:
             left = built.pop()
             built.append(Split(feature=node[0], threshold=node[1], left=left, right=built.pop()))
-    return TreeModel(root=built[0], n_features=n_features, n_classes=n_classes, depth=depth, hp=hp)
+    return TreeModel(root=built[0], n_features=n_features, depth=depth, hp=hp)
 
 
 def predict(t: TreeModel, row) -> int:
@@ -312,6 +288,10 @@ def predict_many(t: TreeModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != t.n_features:
         raise ValueError(f"matrix has shape {X.shape}, tree was fit on {t.n_features} features")
+    finite = np.isfinite(X)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"non-finite feature value {float(X[i, j])} at row {i + 1}, feature {j}")
     out = np.empty(X.shape[0], dtype=np.int64)
     stack: list[tuple[Leaf | Split, np.ndarray]] = [(t.root, np.arange(X.shape[0]))]
     while stack:

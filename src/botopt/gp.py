@@ -35,7 +35,6 @@ _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
 class KernelParams:
     signal_variance: float
     lengthscale: float
-    kind: str = "rbf"
 
     def __post_init__(self):
         if self.signal_variance <= 0 or self.lengthscale <= 0:
@@ -43,8 +42,6 @@ class KernelParams:
                 f"kernel parameters must be strictly positive, got "
                 f"signal_variance={self.signal_variance}, lengthscale={self.lengthscale}"
             )
-        if self.kind != "rbf":
-            raise ValueError(f"unsupported kernel kind {self.kind!r}")
 
 
 @dataclass(frozen=True)

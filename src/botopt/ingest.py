@@ -31,7 +31,8 @@ class Dataset:
     """Immutable labeled feature matrix.
 
     features : (M, N) float array, all values finite
-    labels   : (M,) int array of class ids, 0 = normal, 1 = attack
+    labels   : (M,) int64 array, 0 = normal, 1 = attack; any label that does
+               not equal 0 or 1 as given is an error
     feature_names : N column names
     """
 
@@ -41,14 +42,19 @@ class Dataset:
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        given = np.asarray(self.labels)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
         m, n = feats.shape
         if m < 1 or n < 1:
             raise ValueError(f"need at least one row and one feature, got shape {feats.shape}")
-        if labels.shape != (m,):
-            raise ValueError(f"labels shape {labels.shape} does not match {m} feature rows")
+        if given.shape != (m,):
+            raise ValueError(f"labels shape {given.shape} does not match {m} feature rows")
+        bad = np.flatnonzero((given != 0) & (given != 1))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"label {given[i]} at row {i + 1} is not 0 (normal) or 1 (attack)")
+        labels = np.ascontiguousarray(given, dtype=np.int64)
         names = tuple(str(c) for c in self.feature_names)
         if len(names) != n:
             raise ValueError(f"{len(names)} feature names for {n} feature columns")

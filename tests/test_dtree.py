@@ -1,10 +1,9 @@
 import gc
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from botopt.dtree import (
     HyperParams,
@@ -13,13 +12,12 @@ from botopt.dtree import (
     best_split,
     dump_tree,
     fit_tree,
-    gini,
     predict,
     predict_many,
 )
 from botopt.ingest import Dataset
 
-from reference import ref_best_split, ref_fit_tree, same_tree
+from reference import ref_best_split, ref_fit_tree, ref_gini_fraction, same_tree
 
 
 def dataset(X, y):
@@ -27,34 +25,6 @@ def dataset(X, y):
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     return Dataset(X, np.asarray(y), tuple(f"f{i}" for i in range(X.shape[1])))
-
-
-# --- gini --------------------------------------------------------------------
-
-def test_gini_balanced_binary():
-    assert gini([5, 5]) == 0.5
-
-
-def test_gini_pure():
-    assert gini([10, 0]) == 0.0
-
-
-def test_gini_three_classes():
-    assert gini([1, 2, 3]) == pytest.approx(11 / 18, abs=1e-12)
-
-
-def test_gini_rejects_empty_and_negative():
-    with pytest.raises(ValueError, match="zero"):
-        gini([0, 0])
-    with pytest.raises(ValueError, match="non-negative"):
-        gini([3, -1])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 100), min_size=1, max_size=6).filter(lambda c: sum(c) > 0))
-def test_gini_bounds(counts):
-    val = gini(counts)
-    assert 0.0 <= val <= 1.0 - 1.0 / len(counts) + 1e-12
 
 
 # --- best_split --------------------------------------------------------------
@@ -97,7 +67,7 @@ def test_best_split_matches_bruteforce_oracle(seed):
     X = rng.random((n, 3))
     y = rng.integers(0, 2, n)
     hp = HyperParams(min_samples_leaf=int(rng.integers(1, 3)))
-    got = best_split(X, y, hp, [0, 1, 2], n_classes=2)
+    got = best_split(X, y, hp, [0, 1, 2])
     want = ref_best_split(X, y, hp.min_samples_leaf, [0, 1, 2], n_classes=2)
     if want is None:
         assert got is None
@@ -154,7 +124,7 @@ def tied_data(seed, n=90):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 4, size=(n, 3)).astype(float)
     X = np.c_[X, X[:, 1]]  # every candidate on feature 3 ties one on feature 1
-    y = rng.integers(0, 2 + seed % 2, n)
+    y = rng.integers(0, 2, n)
     return X, y
 
 
@@ -168,9 +138,8 @@ def tied_data(seed, n=90):
 )
 def test_tree_matches_reference_on_tied_values(seed, hp):
     X, y = tied_data(seed)
-    n_classes = int(y.max()) + 1
     t = fit_tree(dataset(X, y), hp, seed=seed)
-    ref = ref_fit_tree(X, y, hp.max_depth, hp.min_samples_split, hp.min_samples_leaf, n_classes)
+    ref = ref_fit_tree(X, y, hp.max_depth, hp.min_samples_split, hp.min_samples_leaf, 2)
     assert same_tree(t.root, ref)
 
 
@@ -178,12 +147,11 @@ def test_tree_matches_reference_on_tied_values(seed, hp):
 def test_feature_subsets_match_reference_draws(seed):
     X, y = tied_data(seed)
     X = np.c_[X, np.random.default_rng(seed).random((X.shape[0], 2))]
-    n_classes = int(y.max()) + 1
     hp = HyperParams(max_depth=8, min_samples_split=4, min_samples_leaf=2, max_features_fraction=0.5)
     d = dataset(X, y)
     t = fit_tree(d, hp, seed=seed)
     ref = ref_fit_tree(
-        X, y, hp.max_depth, hp.min_samples_split, hp.min_samples_leaf, n_classes,
+        X, y, hp.max_depth, hp.min_samples_split, hp.min_samples_leaf, 2,
         max_features_fraction=hp.max_features_fraction, seed=seed,
     )
     assert same_tree(t.root, ref)
@@ -238,10 +206,10 @@ def test_fit_leaves_no_reference_cycles():
 
 
 def test_fit_tree_needs_no_recursion_headroom():
-    # one class per row makes every cut an exact tie, so the lowest
-    # threshold wins and each split peels off one row: depth n - 1
+    # alternating labels make the lowest cut win at every node, so each
+    # split peels off one row: depth n - 1
     n = 120
-    d = dataset(np.arange(n, dtype=float), np.arange(n))
+    d = dataset(np.arange(n, dtype=float), np.arange(n) % 2)
     depth_now, frame = 0, sys._getframe()
     while frame is not None:
         depth_now, frame = depth_now + 1, frame.f_back
@@ -264,6 +232,18 @@ def test_predict_routes_left_on_equality():
     left_class = t.root.left.majority
     assert predict(t, [1.5]) == left_class  # boundary value goes left
     assert predict(t, [1.0]) == left_class
+
+
+def test_predict_rejects_non_finite_rows():
+    # nan <= threshold is false, so a nan would silently go right at every split
+    d = dataset([0.0, 1.0, 2.0, 3.0], [0, 0, 1, 1])
+    t = fit_tree(d, HP_OPEN, seed=0)
+    with pytest.raises(ValueError, match=r"^non-finite feature value nan at row 1, feature 0$"):
+        predict(t, [np.nan])
+    X = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, -np.inf]])
+    t2 = fit_tree(dataset([[0.0, 1.0], [2.0, 3.0]], [0, 1]), HP_OPEN, seed=0)
+    with pytest.raises(ValueError, match=r"^non-finite feature value -inf at row 3, feature 1$"):
+        predict_many(t2, X)
 
 
 def test_memorizing_tree_replays_training_labels():
@@ -308,11 +288,11 @@ def test_accepted_splits_have_positive_decrease_and_legal_children(seed):
     for node, n_left, n_right, rows_idx in acc:
         assert n_left >= hp.min_samples_leaf and n_right >= hp.min_samples_leaf
         mask = X[rows_idx, node.feature] <= node.threshold
-        parent = gini(np.bincount(y[rows_idx], minlength=2))
-        left = gini(np.bincount(y[rows_idx[mask]], minlength=2))
-        right = gini(np.bincount(y[rows_idx[~mask]], minlength=2))
+        parent = ref_gini_fraction(np.bincount(y[rows_idx], minlength=2))
+        left = ref_gini_fraction(np.bincount(y[rows_idx[mask]], minlength=2))
+        right = ref_gini_fraction(np.bincount(y[rows_idx[~mask]], minlength=2))
         n = rows_idx.size
-        assert parent - (n_left / n) * left - (n_right / n) * right > 0
+        assert parent - Fraction(n_left, n) * left - Fraction(n_right, n) * right > 0
 
 
 def max_path_len(node):

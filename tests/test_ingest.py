@@ -183,6 +183,21 @@ def test_dataset_names_value_row_and_column_of_a_non_finite_cell():
         Dataset(feats, np.array([0, 1, 0]), ("a",))
 
 
+@pytest.mark.parametrize("label, text", [(2, "2"), (-1, "-1"), (0.4, "0.4"), (1.99, "1.99")])
+def test_dataset_rejects_a_label_other_than_0_or_1(label, text):
+    # checked as given, before the int64 cast would truncate 0.4 and 1.99
+    labels = np.array([0, 1, 1, 0, label, 0])
+    with pytest.raises(ValueError, match=rf"^label {re.escape(text)} at row 5 is not 0 \(normal\) or 1 \(attack\)$"):
+        Dataset(np.zeros((6, 1)), labels, ("x",))
+
+
+@pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 1.0]), np.array([False, True, True])])
+def test_dataset_stores_float_and_bool_labels_as_int64(labels):
+    d = Dataset(np.zeros((3, 1)), labels, ("x",))
+    assert d.labels.dtype == np.int64
+    assert d.labels.tolist() == [0, 1, 1]
+
+
 def test_dataset_is_immutable():
     d = Dataset(np.ones((2, 2)), np.array([0, 1]), ("a", "b"))
     with pytest.raises(ValueError):
