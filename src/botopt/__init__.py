@@ -6,19 +6,16 @@ from .bayesopt import (
     Trace,
     Trial,
     default_dt_space,
-    expected_improvement,
     optimize,
     propose_next,
     write_trace,
 )
-from .dtree import HyperParams, TreeModel, best_split, dump_tree, fit_tree, predict, predict_many
+from .dtree import HyperParams, TreeModel, dump_tree, fit_tree, predict_many
 from .gp import (
     GPModel,
     KernelParams,
     default_kernel_grid,
     gp_fit,
-    gp_predict,
-    kernel_eval,
     log_marginal_likelihood,
     tune_kernel,
 )

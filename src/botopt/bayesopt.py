@@ -28,7 +28,6 @@ __all__ = [
     "SearchSpace",
     "Trial",
     "Trace",
-    "expected_improvement",
     "propose_next",
     "optimize",
     "write_trace",
@@ -96,15 +95,9 @@ class Trace:
         object.__setattr__(self, "best", best)
 
 
-def expected_improvement(mean: float, std: float, best_so_far: float, xi: float = 0.0) -> float:
-    """E[max(Y - best_so_far - xi, 0)] for Y ~ N(mean, std^2); 0 when std = 0."""
-    if std < 0:
-        raise ValueError(f"std must be non-negative, got {std}")
-    return float(_ei_vector(np.array([float(mean)]), np.array([float(std)]), best_so_far, xi)[0])
-
-
 def _ei_vector(mean: np.ndarray, std: np.ndarray, best_so_far: float, xi: float) -> np.ndarray:
-    """expected_improvement of each (mean, std) pair."""
+    """E[max(Y - best_so_far - xi, 0)] for Y ~ N(mean, std^2), for each
+    (mean, std) pair; 0 where std = 0."""
     improve = mean - best_so_far - xi
     out = np.zeros_like(mean)
     pos = std > 0.0
@@ -192,6 +185,8 @@ def optimize(
         n_init = max(5, 2 * d)
     if not budget >= n_init >= 1:
         raise ValueError(f"need budget >= n_init >= 1, got budget={budget}, n_init={n_init}")
+    if n_candidates < 1:
+        raise ValueError(f"need n_candidates >= 1, got n_candidates={n_candidates}")
 
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     sub_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))

@@ -90,13 +90,13 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         [c.strip() for c in args.feature_columns.split(",")] if args.feature_columns else None
     )
     overrides["space"] = json.loads(args.space) if args.space else None
+    settings = {}
     if args.config:
-        cfg = PipelineConfig.from_file(args.config, **overrides)
-    else:
-        filled = {k: v for k, v in overrides.items() if v is not None}
-        if "seed" not in filled:
-            filled["seed"] = 0
-        cfg = PipelineConfig.from_dict(filled)
+        with open(args.config, encoding="utf-8") as fh:
+            settings = json.load(fh)
+    settings.update({k: v for k, v in overrides.items() if v is not None})
+    settings.setdefault("seed", 0)
+    cfg = PipelineConfig.from_dict(settings)
     if cfg.data_path is None:
         raise SystemExit("error: no data file (pass --data or set data_path in the config)")
     return cfg

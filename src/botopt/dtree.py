@@ -12,17 +12,19 @@ their depth is not bounded by Python's recursion limit.
 Labels are 0 (normal) and 1 (attack), which ``Dataset`` enforces. Split
 candidates are the midpoints of consecutive distinct sorted values of each
 allowed feature; one cumulative sum of the labels in that feature's order
-gives the attack count left of every cut, and the normal count is the rest.
-A candidate's quality is the Gini impurity decrease
+gives a_l, the attack count left of every cut. For two classes the Gini
+impurity decrease of a cut is (Breiman et al., CART, 1984)
 
-    dec = g(parent) - (nl/n) g(left) - (nr/n) g(right)
-        = (n*nr*S_l + n*nl*S_r - nl*nr*S_p) / (n^2 * nl * nr)
+    dec = 2 (nl nr / n^2) (p_l - p_r)^2 = 2 S / n^2,   S = e^2 / (nl nr),
 
-where S_* are sums of squared class counts. The numerator is an integer, so
-the decrease is a rational number; candidates whose float scores land within
-1e-12 of the best are re-compared exactly (Fraction arithmetic) before the
-tie rule - lower feature index, then lower threshold - is applied. That
-keeps split selection bit-reproducible and lets an exhaustive reference
+where e = n a_l - A nl is an integer (A is the node's attack count). Every
+product in e is an integer of at most n^2, so while n^2 <= 2^53 (fit_tree's
+row limit) e is exact in float64: a cut has a positive decrease exactly when
+e != 0, and zero-gain cuts are never taken. Candidates are ranked by the
+float S, which carries at most about 2 ulp of relative error; those within
+a relative 1e-12 of the best are re-compared exactly as Fraction(e^2, nl nr),
+and the first exact best in (feature, threshold) order wins. That keeps
+split selection bit-reproducible and lets an exhaustive reference
 implementation agree with this one node for node.
 
 Per-node split search across features is embarrassingly parallel; with
@@ -35,7 +37,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, isqrt
 
 import numpy as np
 
@@ -46,15 +48,15 @@ __all__ = [
     "Leaf",
     "Split",
     "TreeModel",
-    "best_split",
     "fit_tree",
-    "predict",
     "predict_many",
     "dump_tree",
 ]
 
 # Relative width of the float-score band that triggers exact re-comparison.
 _TIE_BAND = 1e-12
+# Largest n with n^2 <= 2^53, so that every e of a split search is exact.
+_MAX_ROWS = isqrt(2**53)
 
 
 @dataclass(frozen=True)
@@ -99,12 +101,12 @@ class TreeModel:
     hp: HyperParams
 
 
-def _feature_candidates(x, attack, rows, min_leaf, sum_p2, feature):
+def _feature_candidates(x, attack, rows, min_leaf, feature):
     """Band of near-best candidates for one feature, given a node's rows in
     ascending order of that feature's values x and the float64 0/1 labels.
 
-    Returns (feature_best_float, [(dec, feature, threshold, nl, attack_left)]),
-    or None when the feature admits no positive-decrease split.
+    Returns (feature_best_score, [(score, feature, threshold, e, nl)]), or
+    None when every cut of the feature has e == 0.
     """
     xs = x[rows]
     n = xs.shape[0]
@@ -113,99 +115,47 @@ def _feature_candidates(x, attack, rows, min_leaf, sum_p2, feature):
     cut = cut[np.searchsorted(cut, min_leaf - 1) : np.searchsorted(cut, n - min_leaf)]
     if cut.size == 0:
         return None
-    nl = cut + 1
+    nl = (cut + 1).astype(np.float64)
 
-    # class counts and their sums of squares are integers below 2**53, so
-    # they are exact in float64 whatever the summation order
     cum = np.cumsum(np.take(attack, rows))
-    al = np.take(cum, cut)  # np.take: far faster than cum[cut]
-    ar = cum[-1] - al
-    nlf = nl.astype(np.float64)
-    nrf = n - nlf
-    sl = (nlf - al) ** 2 + al**2
-    sr = (nrf - ar) ** 2 + ar**2
-    dec = (n * nrf * sl + n * nlf * sr - nlf * nrf * sum_p2) / (n * n * nlf * nrf)
+    # integers of at most n^2 < 2^53: exact in float64
+    e = n * np.take(cum, cut) - cum[-1] * nl  # np.take: far faster than cum[cut]
+    score = e * e / (nl * (n - nl))
 
-    fbest = float(dec.max())
-    if not fbest > 0.0:
+    fbest = float(score.max())
+    if fbest == 0.0:
         return None
-    floor = fbest - _TIE_BAND * max(1.0, fbest)
-    sel = np.flatnonzero(dec >= floor if floor > 0.0 else dec > 0.0)
+    sel = np.flatnonzero(score >= fbest * (1.0 - _TIE_BAND))
     thresholds = (xs[cut[sel]] + xs[cut[sel] + 1]) / 2.0
     candidates = [
-        (float(dec[i]), feature, float(t), int(nl[i]), int(al[i]))
+        (float(score[i]), feature, float(t), int(e[i]), int(nl[i]))
         for i, t in zip(sel, thresholds)
     ]
     return fbest, candidates
 
 
-def _exact_decrease(n: int, nl: int, attack_left: int, n_attack: int) -> Fraction:
-    nr = n - nl
-    attack_right = n_attack - attack_left
-    sl = (nl - attack_left) ** 2 + attack_left**2
-    sr = (nr - attack_right) ** 2 + attack_right**2
-    sp = (n - n_attack) ** 2 + n_attack**2
-    return Fraction(n * nr * sl + n * nl * sr - nl * nr * sp, n * n * nl * nr)
-
-
-def _node_split(columns, attack, order, features, counts, min_leaf, pool):
-    """Best (feature, threshold, impurity decrease) of one node, or None.
+def _node_split(columns, attack, order, features, min_leaf, pool):
+    """Best (feature, threshold, score S) of one node, or None when no cut
+    has a positive Gini decrease (2 S / n^2).
 
     ``order[f]`` lists the node's rows in ascending order of ``columns[f]``;
-    ``counts`` are the node's [normal, attack] counts; ``features`` is
-    ascending.
+    ``features`` is ascending.
     """
     n = order.shape[1]
-    sum_p2 = float(np.sum(counts.astype(np.float64) ** 2))
-    args = [(columns[f], attack, order[f], min_leaf, sum_p2, f) for f in features]
+    args = [(columns[f], attack, order[f], min_leaf, f) for f in features]
     if pool is not None:
         results = list(pool.map(lambda a: _feature_candidates(*a), args))
     else:
         results = [_feature_candidates(*a) for a in args]
-
-    kept: list[tuple] = []
-    best_float = -np.inf
-    for res in results:  # ascending feature order
-        if res is None:
-            continue
-        fbest, rows = res
-        best_float = max(best_float, fbest)
-        kept.extend(rows)
-    if not kept:
+    results = [res for res in results if res is not None]  # ascending feature order
+    if not results:
         return None
 
-    band = _TIE_BAND * max(1.0, best_float)
-    finalists = [c for c in kept if c[0] >= best_float - band]
-    if len(finalists) == 1:
-        dec, f, thr, _, _ = finalists[0]
-        return f, thr, dec
-
-    n_attack = int(counts[1])
-    best = None
-    best_exact = None
-    for dec, f, thr, nl, al in finalists:  # already in (feature, threshold) order
-        exact = _exact_decrease(n, nl, al, n_attack)
-        if best_exact is None or exact > best_exact:
-            best, best_exact = (f, thr, dec), exact
-    if best_exact <= 0:
-        return None
-    return best
-
-
-def best_split(
-    X: np.ndarray, y: np.ndarray, hp: HyperParams, feature_subset
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, impurity decrease) over the allowed features,
-    or None when no split has a strictly positive decrease or both children
-    cannot reach min_samples_leaf. Labels y are 0 (normal) or 1 (attack)."""
-    if np.shape(y)[0] < hp.min_samples_split:
-        return None
-    d = Dataset(X, y, tuple(map(str, range(np.shape(X)[-1]))))
-    features = sorted(int(f) for f in feature_subset)
-    return _node_split(
-        d.features.T, d.labels.astype(np.float64), d.column_order, features,
-        np.bincount(d.labels, minlength=2), hp.min_samples_leaf, None,
-    )
+    floor = max(fbest for fbest, _ in results) * (1.0 - _TIE_BAND)
+    finalists = [c for _, rows in results for c in rows if c[0] >= floor]
+    # max keeps the first exact best, in (feature, threshold) order
+    score, f, thr, _, _ = max(finalists, key=lambda c: Fraction(c[3] ** 2, c[4] * (n - c[4])))
+    return f, thr, score
 
 
 def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> TreeModel:
@@ -215,10 +165,13 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
     min_samples_split rows, is pure, or admits no positive-decrease split.
     The per-node feature subset of size ceil(max_features_fraction * N) is
     drawn from one seeded generator in preorder (node, left subtree, right
-    subtree), so the tree is a pure function of (data, hp, seed).
+    subtree), so the tree is a pure function of (data, hp, seed). Raises
+    ValueError above 94,906,265 training rows, where the split scores stop being exact.
     """
     X, y = train.features, train.labels
     n_rows, n_features = X.shape
+    if n_rows > _MAX_ROWS:
+        raise ValueError(f"{n_rows} training rows exceed the limit of {_MAX_ROWS} rows")
     m_feat = ceil(hp.max_features_fraction * n_features)
     rng = np.random.default_rng(seed)
     columns = np.ascontiguousarray(X.T)
@@ -240,9 +193,7 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
             found = None
             if level < hp.max_depth and n >= hp.min_samples_split and counts.max() < n:
                 subset = np.sort(rng.choice(n_features, size=m_feat, replace=False)).tolist()
-                found = _node_split(
-                    columns, attack, order, subset, counts, hp.min_samples_leaf, pool
-                )
+                found = _node_split(columns, attack, order, subset, hp.min_samples_leaf, pool)
             if found is not None:
                 f, thr, _ = found
                 rows = order[f]
@@ -273,14 +224,6 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
             left = built.pop()
             built.append(Split(feature=node[0], threshold=node[1], left=left, right=built.pop()))
     return TreeModel(root=built[0], n_features=n_features, depth=depth, hp=hp)
-
-
-def predict(t: TreeModel, row) -> int:
-    """Route one row to its leaf; values <= threshold go left."""
-    row = np.asarray(row, dtype=np.float64).ravel()
-    if row.shape[0] != t.n_features:
-        raise ValueError(f"row has {row.shape[0]} features, tree was fit on {t.n_features}")
-    return int(predict_many(t, row[None])[0])
 
 
 def predict_many(t: TreeModel, X: np.ndarray) -> np.ndarray:

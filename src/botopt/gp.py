@@ -18,9 +18,7 @@ from scipy.linalg import solve_triangular
 __all__ = [
     "KernelParams",
     "GPModel",
-    "kernel_eval",
     "gp_fit",
-    "gp_predict",
     "gp_predict_batch",
     "log_marginal_likelihood",
     "tune_kernel",
@@ -57,15 +55,6 @@ class GPModel:
     jitter: float
     chol: np.ndarray
     alpha: np.ndarray
-
-
-def kernel_eval(p: KernelParams, a, b) -> float:
-    """signal_variance * exp(-||a-b||^2 / (2 * lengthscale^2))."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"point dimensions differ: {a.shape} vs {b.shape}")
-    return float(_rbf(p, _sqdist(a.reshape(1, -1), b.reshape(1, -1)))[0, 0])
 
 
 def _sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -124,12 +113,6 @@ def gp_predict_batch(m: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     v = solve_triangular(m.chol, k_star, lower=True)
     var = np.maximum(m.kernel.signal_variance - np.sum(v * v, axis=0), 0.0)
     return mean, var
-
-
-def gp_predict(m: GPModel, q) -> tuple[float, float]:
-    """Posterior (mean, variance) at a single point; variance floored at 0."""
-    mean, var = gp_predict_batch(m, np.asarray(q, dtype=np.float64).reshape(1, -1))
-    return float(mean[0]), float(var[0])
 
 
 def log_marginal_likelihood(m: GPModel) -> float:

@@ -13,7 +13,6 @@ an explicit index-disjointness check enforces that at run time.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -94,13 +93,6 @@ class PipelineConfig:
                 dims=tuple(Dim(s["name"], s["kind"], s["lower"], s["upper"]) for s in d["space"])
             )
         return cls(**d)
-
-    @classmethod
-    def from_file(cls, path, **overrides) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-        d.update({k: v for k, v in overrides.items() if v is not None})
-        return cls.from_dict(d)
 
 
 @dataclass

@@ -15,7 +15,7 @@ import pytest
 
 from botopt.bayesopt import Dim, SearchSpace, optimize
 from botopt.dtree import HyperParams, fit_tree, predict_many
-from botopt.gp import KernelParams, gp_fit, gp_predict, log_marginal_likelihood
+from botopt.gp import KernelParams, gp_fit, gp_predict_batch, log_marginal_likelihood
 from botopt.ingest import Dataset, class_counts, sample_flows
 from botopt.metrics import ConfusionMatrix, compute_metrics
 from botopt.pipeline import PipelineConfig, report_to_text, run_pipeline
@@ -80,7 +80,7 @@ def test_criterion_2_gp_against_dense_oracles():
         noise = float(10 ** rng.uniform(-3, -2))
         m = gp_fit(X, y, KernelParams(sv, ls), noise)
         q = rng.random(d)
-        mean, var = gp_predict(m, q)
+        (mean,), (var,) = gp_predict_batch(m, q)
         ref_mean, ref_var = ref_gp_predict(X, y, sv, ls, noise, q)
         lml = log_marginal_likelihood(m)
         ref_lml = ref_log_marginal_likelihood(X, y, sv, ls, noise)

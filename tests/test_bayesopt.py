@@ -21,7 +21,6 @@ from botopt.bayesopt import (
     _key,
     _to_native,
     default_dt_space,
-    expected_improvement,
     latin_hypercube,
     optimize,
     propose_next,
@@ -39,6 +38,11 @@ def parabola(config):
 
 
 # --- expected improvement ----------------------------------------------------
+
+def expected_improvement(mean, std, best_so_far, xi=0.0):
+    """_ei_vector at one (mean, std) pair."""
+    return float(_ei_vector(np.array([mean]), np.array([std]), best_so_far, xi)[0])
+
 
 def test_ei_zero_std_is_zero():
     assert expected_improvement(5.0, 0.0, -1.0) == 0.0
@@ -88,11 +92,6 @@ def test_ei_nonnegative(mean, std, best, xi):
 def test_ei_nondecreasing_in_mean(means, std, best):
     lo, hi = sorted(means)
     assert expected_improvement(hi, std, best) >= expected_improvement(lo, std, best)
-
-
-def test_ei_rejects_negative_std():
-    with pytest.raises(ValueError):
-        expected_improvement(0.0, -1.0, 0.0)
 
 
 def test_ei_vector_equals_scipy_normal_formula():
@@ -334,6 +333,18 @@ def test_running_best_nondecreasing_and_bounds_respected(seed):
 def test_optimize_validates_budget():
     with pytest.raises(ValueError, match="budget >= n_init"):
         optimize(parabola, SPACE_1D, budget=3, n_init=5, seed=0)
+
+
+def test_optimize_rejects_no_candidates_before_any_trial():
+    calls = []
+
+    def objective(config):
+        calls.append(config)
+        return parabola(config)
+
+    with pytest.raises(ValueError, match=r"^need n_candidates >= 1, got n_candidates=0$"):
+        optimize(objective, SPACE_1D, budget=6, n_init=3, seed=0, n_candidates=0)
+    assert calls == []
 
 
 def test_trace_best_breaks_ties_earliest():

@@ -120,6 +120,22 @@ def test_config_file_with_flag_override(flows_csv, tmp_path, capsys):
     assert "tuning trials: 5" in out
 
 
+def test_config_file_without_seed_defaults_to_seed_0(flows_csv, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"data_path": flows_csv, "smote_k": 2}))
+    seeded, unseeded = tmp_path / "seeded.csv", tmp_path / "unseeded.csv"
+    assert main(["tune", "--data", flows_csv, "--seed", "0", "--out", str(seeded), *FAST]) == 0
+    assert main(["tune", "--config", str(cfg_path), "--out", str(unseeded), *FAST]) == 0
+    assert unseeded.read_bytes() == seeded.read_bytes()
+    capsys.readouterr()
+
+    assert main(["eval", "--data", flows_csv, "--seed", "0", "--smote-k", "2"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["eval", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["pca", "--config", str(cfg_path), "--out", str(tmp_path / "pca.csv")]) == 0
+
+
 def test_space_flag_overrides_search_space(flows_csv, tmp_path, capsys):
     space = json.dumps([
         {"name": "max_depth", "kind": "integer", "lower": 2, "upper": 4},

@@ -1,6 +1,8 @@
 import gc
 import sys
 from fractions import Fraction
+from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,10 +11,9 @@ from botopt.dtree import (
     HyperParams,
     Leaf,
     Split,
-    best_split,
+    _node_split,
     dump_tree,
     fit_tree,
-    predict,
     predict_many,
 )
 from botopt.ingest import Dataset
@@ -27,9 +28,23 @@ def dataset(X, y):
     return Dataset(X, np.asarray(y), tuple(f"f{i}" for i in range(X.shape[1])))
 
 
-# --- best_split --------------------------------------------------------------
+# --- best split of one node --------------------------------------------------
 
 HP_OPEN = HyperParams(max_depth=50, min_samples_split=2, min_samples_leaf=1)
+
+
+def best_split(X, y, hp, feature_subset):
+    """Best (feature, threshold, Gini decrease) over the allowed features of
+    one node, or None: _node_split's score S as the decrease 2 S / n^2."""
+    d = dataset(X, y)
+    found = _node_split(
+        d.features.T, d.labels.astype(np.float64), d.column_order,
+        sorted(feature_subset), hp.min_samples_leaf, None,
+    )
+    if found is None:
+        return None
+    f, thr, score = found
+    return f, thr, 2.0 * score / len(y) ** 2
 
 
 def test_best_split_perfect_separation_midpoint():
@@ -230,8 +245,7 @@ def test_predict_routes_left_on_equality():
     t = fit_tree(d, HP_OPEN, seed=0)
     assert isinstance(t.root, Split) and t.root.threshold == 1.5
     left_class = t.root.left.majority
-    assert predict(t, [1.5]) == left_class  # boundary value goes left
-    assert predict(t, [1.0]) == left_class
+    assert list(predict_many(t, [[1.5], [1.0]])) == [left_class] * 2  # boundary value goes left
 
 
 def test_predict_rejects_non_finite_rows():
@@ -239,7 +253,7 @@ def test_predict_rejects_non_finite_rows():
     d = dataset([0.0, 1.0, 2.0, 3.0], [0, 0, 1, 1])
     t = fit_tree(d, HP_OPEN, seed=0)
     with pytest.raises(ValueError, match=r"^non-finite feature value nan at row 1, feature 0$"):
-        predict(t, [np.nan])
+        predict_many(t, [[np.nan]])
     X = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, -np.inf]])
     t2 = fit_tree(dataset([[0.0, 1.0], [2.0, 3.0]], [0, 1]), HP_OPEN, seed=0)
     with pytest.raises(ValueError, match=r"^non-finite feature value -inf at row 3, feature 1$"):
@@ -253,15 +267,13 @@ def test_memorizing_tree_replays_training_labels():
     d = dataset(X, y)
     t = fit_tree(d, HyperParams(max_depth=50, min_samples_split=2, min_samples_leaf=1), seed=5)
     assert list(predict_many(t, X)) == list(y)
-    for row, label in zip(X, y):
-        assert predict(t, row) == label
 
 
 def test_predict_dimension_mismatch():
     d = dataset([[0.0, 1.0], [2.0, 3.0]], [0, 1])
     t = fit_tree(d, HP_OPEN, seed=0)
     with pytest.raises(ValueError, match="features"):
-        predict(t, [1.0])
+        predict_many(t, [[1.0]])
     with pytest.raises(ValueError, match="features"):
         predict_many(t, np.zeros((3, 3)))
 
@@ -368,3 +380,60 @@ def test_hyperparams_validation():
         HyperParams(min_samples_leaf=0)
     with pytest.raises(ValueError):
         HyperParams(max_features_fraction=0.0)
+
+
+# --- exact split scores at scale ----------------------------------------------
+# A cut's Gini decrease is 2 e^2 / (n^2 nl nr) with the integer
+# e = n a_l - A nl. Each case below is one 0/1 feature whose single cut, at
+# 0.5, has e = 0 (a zero-gain split) or e = +-1 (the smallest positive
+# decrease). At these sizes the products of the textbook formula,
+# (n nr S_l + n nl S_r - nl nr S_p) / (n^2 nl nr), pass 2^53.
+
+def cut_with_imbalance(seed, e):
+    """(n, nl, A, a_l) with 10^4 <= n <= 10^5 and n a_l - A nl == e."""
+    rng = np.random.default_rng([seed, e + 1])
+    while True:
+        n = int(rng.integers(10**4, 10**5 + 1))
+        nl = int(rng.integers(1, n))
+        g = gcd(n, nl)
+        if e == 0 and g > 1:
+            n_attack = int(rng.integers(1, g)) * (n // g)
+        elif e != 0 and g == 1:
+            n_attack = -e * pow(nl, -1, n) % n  # so that n divides n_attack nl + e
+        else:
+            continue
+        attack_left = (n_attack * nl + e) // n
+        if 0 < n_attack < n and 0 <= attack_left <= nl and n_attack - attack_left <= n - nl:
+            return n, nl, n_attack, attack_left
+
+
+CUTS = [
+    (29_418, 1_407, 9_806, 469),  # e = 0: the textbook formula scores it positive
+    (28_285, 873, 162, 5),  # e = -1: the textbook formula scores it 0.0
+    *(cut_with_imbalance(seed, e) for seed in range(6) for e in (-1, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("n, nl, n_attack, attack_left", CUTS)
+def test_a_cut_is_taken_exactly_when_its_imbalance_is_nonzero(n, nl, n_attack, attack_left):
+    # nl rows of value 0 hold attack_left attacks, the other rows the rest
+    X = (np.arange(n) >= nl).astype(float).reshape(-1, 1)
+    y = np.zeros(n, dtype=np.int64)
+    y[:attack_left] = 1
+    y[nl : nl + n_attack - attack_left] = 1
+    t = fit_tree(dataset(X, y), HP_OPEN, seed=0)
+    ref = ref_fit_tree(X, y, HP_OPEN.max_depth, HP_OPEN.min_samples_split, HP_OPEN.min_samples_leaf, 2)
+    assert same_tree(t.root, ref)
+    assert isinstance(t.root, Split) == (n * attack_left - n_attack * nl != 0)
+
+
+def test_fit_tree_rejects_rows_beyond_exact_scores():
+    limit = 94_906_265
+    assert limit**2 <= 2**53 < (limit + 1) ** 2
+    n = limit + 1
+    # zero-stride views: nothing of the n rows is allocated
+    train = SimpleNamespace(
+        features=np.broadcast_to(0.0, (n, 3)), labels=np.broadcast_to(np.int64(0), (n,))
+    )
+    with pytest.raises(ValueError, match=rf"^{n} training rows exceed the limit of {limit} rows$"):
+        fit_tree(train, HP_OPEN, seed=0)

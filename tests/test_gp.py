@@ -5,11 +5,11 @@ import pytest
 
 from botopt.gp import (
     KernelParams,
+    _rbf,
     _sqdist,
     default_kernel_grid,
     gp_fit,
-    gp_predict,
-    kernel_eval,
+    gp_predict_batch,
     log_marginal_likelihood,
     tune_kernel,
 )
@@ -21,29 +21,34 @@ from reference import (
 )
 
 
-def test_kernel_eval_zero_distance():
+def kernel(p, a, b):
+    """The RBF kernel value of two points."""
+    return float(_rbf(p, _sqdist(np.atleast_2d(a), np.atleast_2d(b)))[0, 0])
+
+
+def test_kernel_zero_distance():
     p = KernelParams(signal_variance=2.0, lengthscale=1.0)
-    assert kernel_eval(p, [1.0, 2.0], [1.0, 2.0]) == 2.0
+    assert kernel(p, [1.0, 2.0], [1.0, 2.0]) == 2.0
 
 
-def test_kernel_eval_one_lengthscale_apart():
+def test_kernel_one_lengthscale_apart():
     p = KernelParams(signal_variance=1.0, lengthscale=0.7)
-    assert kernel_eval(p, [0.0], [0.7]) == pytest.approx(math.exp(-0.5), abs=1e-12)
+    assert kernel(p, [0.0], [0.7]) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
 
-def test_kernel_eval_matches_reference_on_random_pair():
+def test_kernel_matches_reference_on_random_pair():
     rng = np.random.default_rng(3)
     a, b = rng.standard_normal(3), rng.standard_normal(3)
     p = KernelParams(signal_variance=1.7, lengthscale=0.9)
     expected = ref_kernel_matrix(a.reshape(1, -1), b.reshape(1, -1), 1.7, 0.9)[0, 0]
-    assert kernel_eval(p, a, b) == pytest.approx(expected, abs=1e-14)
-    assert kernel_eval(p, b, a) == kernel_eval(p, a, b)
+    assert kernel(p, a, b) == pytest.approx(expected, abs=1e-14)
+    assert kernel(p, b, a) == kernel(p, a, b)
 
 
-def test_kernel_eval_dimension_mismatch():
-    p = KernelParams(1.0, 1.0)
-    with pytest.raises(ValueError, match="dimensions differ"):
-        kernel_eval(p, [0.0], [0.0, 1.0])
+def test_gp_predict_batch_dimension_mismatch():
+    m = gp_fit(np.array([[0.0]]), np.array([1.0]), KernelParams(1.0, 1.0), noise=0.0)
+    with pytest.raises(ValueError, match="query dimension 2 does not match model dimension 1"):
+        gp_predict_batch(m, [[0.0, 1.0]])
 
 
 def test_kernel_params_must_be_positive():
@@ -81,16 +86,15 @@ def test_gp_predict_interpolates_training_points():
     X = rng.random((4, 2))
     y = rng.standard_normal(4)
     m = gp_fit(X, y, KernelParams(1.0, 0.8), noise=0.0)
-    for xi, yi in zip(X, y):
-        mean, var = gp_predict(m, xi)
-        assert mean == pytest.approx(yi, abs=1e-8)
-        assert var < 1e-8
+    mean, var = gp_predict_batch(m, X)
+    np.testing.assert_allclose(mean, y, rtol=0, atol=1e-8)
+    assert np.all(var < 1e-8)
 
 
 def test_gp_predict_reverts_to_prior_far_away():
     X = np.array([[0.0], [0.1], [0.2]])
     m = gp_fit(X, np.array([1.0, 2.0, 1.5]), KernelParams(1.5, 0.1), noise=1e-6)
-    mean, var = gp_predict(m, [5.0])  # 48 lengthscales from the data
+    (mean,), (var,) = gp_predict_batch(m, [[5.0]])  # 48 lengthscales from the data
     assert abs(mean) < 1e-6
     assert var == pytest.approx(1.5, abs=1e-6)
 
@@ -101,7 +105,7 @@ def test_gp_predict_matches_dense_oracle():
     y = rng.standard_normal(3)
     m = gp_fit(X, y, KernelParams(1.0, 0.5), noise=1e-6)
     q = rng.random(2)
-    mean, var = gp_predict(m, q)
+    (mean,), (var,) = gp_predict_batch(m, q)
     ref_mean, ref_var = ref_gp_predict(X, y, 1.0, 0.5, 1e-6, q)
     assert mean == pytest.approx(ref_mean, abs=1e-8)
     assert var == pytest.approx(ref_var, abs=1e-8)
@@ -111,9 +115,8 @@ def test_posterior_variance_nonnegative_everywhere():
     rng = np.random.default_rng(13)
     X = rng.random((8, 3))
     m = gp_fit(X, rng.standard_normal(8), KernelParams(2.0, 0.3), noise=1e-6)
-    for q in rng.random((200, 3)):
-        _, var = gp_predict(m, q)
-        assert var >= 0.0
+    _, var = gp_predict_batch(m, rng.random((200, 3)))
+    assert np.all(var >= 0.0)
 
 
 def test_adding_observation_never_increases_variance():
@@ -125,9 +128,10 @@ def test_adding_observation_never_increases_variance():
         p = KernelParams(1.0, 0.5)
         small = gp_fit(X[:-1], y[:-1], p, noise=1e-3)
         full = gp_fit(X, y, p, noise=1e-3)
-        for q in rng.random((20, 2)):
-            _, v_small = gp_predict(small, q)
-            _, v_full = gp_predict(full, q)
+        Q = rng.random((20, 2))
+        _, var_small = gp_predict_batch(small, Q)
+        _, var_full = gp_predict_batch(full, Q)
+        for q, v_small, v_full in zip(Q, var_small, var_full):
             assert v_full <= v_small + 1e-10
             # and both agree with the dense-inverse oracle on the way
             _, ref_small = ref_gp_predict(X[:-1], y[:-1], 1.0, 0.5, 1e-3, q)
