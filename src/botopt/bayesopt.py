@@ -231,9 +231,10 @@ def optimize(
     return Trace(trials=tuple(trials))
 
 
-def write_trace(trace: Trace, path, space: SearchSpace | None = None) -> None:
-    """Trial-per-row delimited export: index, config, objective, running best."""
-    names = list(space.names) if space is not None else sorted(trace.trials[0].config)
+def write_trace(trace: Trace, path, space: SearchSpace) -> None:
+    """Trial-per-row delimited export: index, config in ``space``'s order,
+    objective, running best."""
+    names = space.names
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", *names, "objective", "running_best", "failed"])

@@ -9,7 +9,7 @@ the class-imbalance statistics the rest of the pipeline is built around.
 from __future__ import annotations
 
 import csv
-import itertools
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -121,51 +121,16 @@ def load_flows(
 ) -> Dataset:
     """Read a comma-delimited flow file into a Dataset.
 
-    The header row is mandatory. ``feature_columns`` is the explicit
-    include-list of feature columns; when omitted, every non-label column is
-    treated as a numeric feature. Rows keep their file order. The label
-    column is mapped to 1 for ``positive_label`` and 0 for the (single)
-    remaining label value; any other value is an error. Row numbers in error
-    messages are 1-based data rows (the header is row 0).
+    The header row is mandatory, and a column it names twice is an error.
+    ``feature_columns`` is the explicit include-list of feature columns;
+    when omitted, every non-label column is treated as a numeric feature.
+    Rows keep their file order. The label column is mapped to 1 for
+    ``positive_label`` and 0 for the (single) remaining label value; any
+    other value is an error. Row numbers in error messages are 1-based data
+    rows (the header is row 0). Cells are parsed into one float64 buffer,
+    8 bytes per cell, which becomes the feature matrix without a copy.
     """
-    return _read_flows(path, label_column, positive_label, feature_columns, negative_label)[0]
-
-
-def sample_flows(
-    path,
-    label_column: str,
-    positive_label: str,
-    n_positive: int,
-    seed: int,
-    feature_columns: list[str] | None = None,
-) -> tuple[Dataset, dict[int, int]]:
-    """Every negative row plus a seeded uniform sample of positive rows.
-
-    Built for extremely skewed flow files: only the sampled rows are
-    materialized, so a multi-million-row file costs two streaming passes and
-    a subsample of memory. Both passes check every row's cell count and
-    label as ``load_flows`` does; only the second parses feature cells, and
-    only those of the sampled rows. Returns the sampled Dataset together
-    with the full-file class counts seen during the scan.
-    """
-    args = (path, label_column, positive_label, feature_columns, None)
-    total_pos = _read_flows(*args, keep=lambda label: False)[1][1]
-    rng = np.random.default_rng(seed)
-    n_take = min(n_positive, total_pos)
-    chosen = set(rng.choice(total_pos, size=n_take, replace=False).tolist()) if n_take else set()
-    ordinal = itertools.count()  # index of each positive row among all positives
-    d, counts = _read_flows(*args, keep=lambda label: label == 0 or next(ordinal) in chosen)
-    if d is None:
-        raise ValueError(f"{path}: no rows survived sampling")
-    return d, counts
-
-
-def _read_flows(path, label_column, positive_label, feature_columns, negative_label, keep=None):
-    """One pass over a flow file: (Dataset of the kept rows or None,
-    full-file class counts). ``keep(label)`` is asked once per row, in file
-    order, after the row's cell count and label are checked; only kept rows
-    have their feature cells parsed."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -177,10 +142,8 @@ def _read_flows(path, label_column, positive_label, feature_columns, negative_la
         n_header = len(header)
 
         negative = negative_label
-        counts = {0: 0, 1: 0}
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        kept: list[int] = []  # file row numbers of the kept rows, when some are skipped
+        cells = array("d")
+        labels = bytearray()
         for rownum, rec in enumerate(reader, start=1):
             if len(rec) != n_header:
                 raise ValueError(
@@ -198,30 +161,50 @@ def _read_flows(path, label_column, positive_label, feature_columns, negative_la
                         f"(expected {positive_label!r} or {negative!r})"
                     )
                 label = 0
-            counts[label] += 1
-            if keep is not None:
-                if not keep(label):
-                    continue
-                kept.append(rownum)
             try:
-                rows.append([float(rec[p]) for p in feat_pos])
+                cells.extend([float(rec[p]) for p in feat_pos])
             except ValueError:
                 _raise_bad_cell(path, rownum, rec, feat_names, feat_pos)
             labels.append(label)
 
-    if not counts[0] + counts[1]:
+    if not labels:
         raise ValueError(f"{path}: no data rows")
-    if not rows:
-        return None, counts
-    features = np.array(rows, dtype=np.float64)
-    finite = np.isfinite(features)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
+    features = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(feat_pos))
+    if not np.isfinite(features).all():
+        i, j = np.argwhere(~np.isfinite(features))[0]
         raise ValueError(
-            f"{path}: non-finite value {float(features[i, j])} at row "
-            f"{kept[i] if kept else i + 1}, column {feat_names[j]!r}"
+            f"{path}: non-finite value {float(features[i, j])} at row {i + 1}, "
+            f"column {feat_names[j]!r}"
         )
-    return Dataset(features, np.array(labels), tuple(feat_names)), counts
+    return Dataset(features, np.frombuffer(labels, dtype=np.uint8), tuple(feat_names))
+
+
+def sample_flows(
+    path,
+    label_column: str,
+    positive_label: str,
+    n_positive: int,
+    seed: int,
+    feature_columns: list[str] | None = None,
+) -> tuple[Dataset, dict[int, int]]:
+    """Every negative row plus a seeded uniform sample of positive rows.
+
+    Built for extremely skewed flow files: the whole file is read and
+    checked by ``load_flows`` (8 bytes per cell), then
+    ``default_rng(seed).choice(n_pos, size=min(n_positive, n_pos),
+    replace=False)`` picks positives by their ordinal among all positive
+    rows. The sampled rows keep their file order. Returns the sampled
+    Dataset together with the full-file class counts.
+    """
+    d = load_flows(path, label_column, positive_label, feature_columns)
+    positives = np.flatnonzero(d.labels == 1)
+    keep = d.labels == 0
+    n_take = min(n_positive, positives.size)
+    keep[positives[np.random.default_rng(seed).choice(positives.size, n_take, replace=False)]] = True
+    if not keep.any():
+        raise ValueError(f"{path}: no rows survived sampling")
+    counts = {0: d.n_rows - positives.size, 1: positives.size}
+    return d.take(np.flatnonzero(keep)), counts
 
 
 def _header_layout(header, label_column, feature_columns, path):
@@ -237,6 +220,14 @@ def _header_layout(header, label_column, feature_columns, path):
         feat_names = list(feature_columns)
     if not feat_names:
         raise ValueError(f"{path}: no feature columns left after excluding the label")
+    used = [label_column, *feat_names]
+    for name in used:
+        if header.count(name) > 1:
+            raise ValueError(f"{path}: column {name!r} is named twice in the header")
+        if used.count(name) > 1:
+            raise ValueError(
+                f"{path}: column {name!r} is named twice in the label and feature columns"
+            )
     return header.index(label_column), feat_names, [header.index(c) for c in feat_names]
 
 

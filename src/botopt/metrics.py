@@ -144,14 +144,14 @@ def write_pca_csv(projections: np.ndarray, labels, path) -> None:
             writer.writerow([repr(float(a)), repr(float(b)), int(lab)])
 
 
-def metrics_to_text(r: MetricsReport, indent: str = "") -> str:
+def metrics_to_text(r: MetricsReport) -> str:
     lines = [
-        f"{indent}accuracy: {r.accuracy:.6f}",
-        f"{indent}precision (positive={r.positive_class}): {r.precision:.6f}",
-        f"{indent}recall (positive={r.positive_class}): {r.recall:.6f}",
-        f"{indent}f_score (positive={r.positive_class}): {r.f_score:.6f}",
-        f"{indent}macro_precision: {r.macro_precision:.6f}",
-        f"{indent}macro_recall: {r.macro_recall:.6f}",
-        f"{indent}macro_f_score: {r.macro_f_score:.6f}",
+        f"accuracy: {r.accuracy:.6f}",
+        f"precision (positive={r.positive_class}): {r.precision:.6f}",
+        f"recall (positive={r.positive_class}): {r.recall:.6f}",
+        f"f_score (positive={r.positive_class}): {r.f_score:.6f}",
+        f"macro_precision: {r.macro_precision:.6f}",
+        f"macro_recall: {r.macro_recall:.6f}",
+        f"macro_f_score: {r.macro_f_score:.6f}",
     ]
     return "\n".join(lines)

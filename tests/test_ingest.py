@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,51 @@ def test_load_flows_include_list_unknown_column(tmp_path):
         load_flows(p, "label", "attack", feature_columns=["b"])
 
 
+@pytest.mark.parametrize(
+    "header, feature_columns, column, where",
+    [
+        ("a,a,label", None, "a", "header"),
+        ("a,b,a,label", ["a", "b"], "a", "header"),
+        ("a,label,label", None, "label", "header"),
+        ("a,b,label", ["a", "b", "a"], "a", "label and feature columns"),
+        ("a,b,label", ["label", "a"], "label", "label and feature columns"),
+    ],
+)
+def test_load_flows_rejects_a_column_named_twice(tmp_path, header, feature_columns, column, where):
+    # reading both names from the first 'a' would drop the second column unseen
+    cells = ",".join(["7"] * header.count(","))
+    rows = f"{cells},normal\n{cells},attack\n"
+    p = write_csv(tmp_path / "twice.csv", f"{header}\n{rows}")
+    expected = f"{re.escape(str(p))}: column '{column}' is named twice in the {where}"
+    with pytest.raises(ValueError, match=expected):
+        load_flows(p, "label", "attack", feature_columns=feature_columns)
+
+
+def test_load_flows_reads_a_file_with_a_byte_order_mark(tmp_path):
+    # spreadsheet exports start with U+FEFF; it is not part of the first name
+    p = tmp_path / "bom.csv"
+    p.write_text("label,rate\nnormal,1.5\nattack,2.5\n", encoding="utf-8-sig")
+    assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+    d = load_flows(p, "label", "attack")
+    assert d.feature_names == ("rate",)
+    assert d.labels.tolist() == [0, 1]
+    np.testing.assert_array_equal(d.features, [[1.5], [2.5]])
+
+
+def test_load_flows_peak_memory_stays_near_the_feature_matrix(tmp_path):
+    # cells go straight into one float64 buffer, not a list of Python floats
+    p = tmp_path / "flows.csv"
+    write_flows(gaussian_clusters(19_500, 500, seed=2, n_features=10), p)
+    tracemalloc.start()
+    try:
+        d = load_flows(p, "label", "attack")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.features.shape == (20_000, 10)
+    assert peak < 2.5 * d.features.nbytes
+
+
 def test_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
     d = Dataset(
@@ -126,6 +172,23 @@ def test_sample_flows_deterministic_and_caps_at_total(tmp_path):
     assert class_counts(everything) == counts == {0: 5, 1: 30}
 
 
+@pytest.mark.parametrize("n_positive", [7, 40, 1_000])
+def test_sample_flows_is_load_flows_with_the_documented_draw(tmp_path, n_positive):
+    # below, at and above the file's 40 positives
+    p = tmp_path / "flows.csv"
+    write_flows(gaussian_clusters(40, 6, seed=11), p)
+    full = load_flows(p, "label", "attack")
+    positives = np.flatnonzero(full.labels == 1)
+    n_take = min(n_positive, positives.size)
+    chosen = positives[np.random.default_rng(3).choice(positives.size, size=n_take, replace=False)]
+    expected = full.take(np.sort(np.concatenate([np.flatnonzero(full.labels == 0), chosen])))
+    sub, counts = sample_flows(p, "label", "attack", n_positive=n_positive, seed=3)
+    assert counts == {0: 6, 1: 40}
+    assert sub.feature_names == expected.feature_names
+    np.testing.assert_array_equal(sub.features, expected.features)
+    np.testing.assert_array_equal(sub.labels, expected.labels)
+
+
 def _load(path):
     return load_flows(path, "label", "attack")
 
@@ -134,11 +197,21 @@ def _sample(path):
     return sample_flows(path, "label", "attack", n_positive=10, seed=0)[0]
 
 
-@pytest.mark.parametrize("loader", [_load, _sample], ids=["load_flows", "sample_flows"])
+def _sample_none(path):
+    # no positive row is sampled, but every row is still checked
+    return sample_flows(path, "label", "attack", n_positive=0, seed=0)[0]
+
+
+@pytest.mark.parametrize(
+    "loader",
+    [_load, _sample, _sample_none],
+    ids=["load_flows", "sample_flows", "sample_flows_none"],
+)
 @pytest.mark.parametrize(
     "bad_row, message, column",
     [
         ("7,8,bogus", "unknown label 'bogus'", "label"),
+        ("7,abc,attack", "non-numeric value 'abc'", "bytes"),
         ("7,nan,normal", "non-finite value nan", "bytes"),
         ("-inf,8,normal", "non-finite value -inf", "rate"),
         ("7,,normal", "missing value", "bytes"),
