@@ -16,10 +16,10 @@ resolve to the earliest candidate.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .gp import GPModel, _fit, _sqdist, _tune, default_kernel_grid, gp_predict_batch
 
@@ -38,6 +38,7 @@ DEFAULT_XI = 0.01
 DEFAULT_CANDIDATES = 1000
 DEFAULT_NOISE = 1e-6
 RETUNE_EVERY = 5
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # numpy has no erfc
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,8 @@ def _ei_vector(mean: np.ndarray, std: np.ndarray, best_so_far: float, xi: float)
     pos = std > 0.0
     with np.errstate(over="ignore"):  # a tiny std overflows to +-inf, which the clip takes
         z = np.clip(improve[pos] / std[pos], -1e8, 1e8)  # cdf/pdf are exactly 0/1 out here
-    # the standard normal cdf and pdf, as scipy.stats.norm computes them
-    out[pos] = improve[pos] * ndtr(z) + std[pos] * (np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi))
+    cdf = 0.5 * _erfc(-z / math.sqrt(2.0)).astype(np.float64)  # the standard normal cdf
+    out[pos] = improve[pos] * cdf + std[pos] * (np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi))
     return np.maximum(out, 0.0)
 
 
@@ -167,7 +168,6 @@ def optimize(
     n_init: int | None = None,
     seed: int = 0,
     n_candidates: int = DEFAULT_CANDIDATES,
-    xi: float = DEFAULT_XI,
     noise: float = DEFAULT_NOISE,
 ) -> Trace:
     """Maximize objective(config) over the space within an evaluation budget.
@@ -223,7 +223,7 @@ def optimize(
             model = _fit(units[:i], y_std, model.kernel, noise, sq[:i, :i])
 
         prop_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
-        config = propose_next(model, space, float(y_std.max()), prop_seed, n_candidates, xi)
+        config = propose_next(model, space, float(y_std.max()), prop_seed, n_candidates)
         if _key(space, config) in cache:
             config = _to_native(space, sub_rng.random(d))
         record(config, i)

@@ -1,10 +1,11 @@
 """Gaussian-process regression with an RBF kernel.
 
-Fitting follows the standard Cholesky route: factor K + noise*I = L L^T,
-then alpha = (K + noise*I)^-1 y via two triangular solves. Posterior mean
-at q is k*^T alpha and posterior variance is k(q,q) - ||L^-1 k*||^2. The
-prior mean is zero; callers who want a non-zero prior standardize their
-targets before fitting.
+A fit is one Cholesky factorization of [[K + noise*I, y'], [y'^T, c]], with
+y' = y 2^-e below 1 in magnitude and c the largest float64: the factor's
+top-left block is L (L L^T = K + noise*I) and its last row is L^-1 y', so
+w = L^-1 y takes no triangular solve. Posterior mean at q is v^T w and
+variance k(q,q) - ||v||^2, with v = L^-1 k*. The prior mean is zero; callers
+who want a non-zero prior standardize their targets before fitting.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from math import log, pi
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "KernelParams",
@@ -46,7 +46,7 @@ class KernelParams:
 class GPModel:
     """Fitted GP state. noise is the requested observation noise; jitter is
     any extra diagonal added to rescue the factorization, so
-    chol @ chol.T == K + (noise + jitter) * I."""
+    chol @ chol.T == K + (noise + jitter) * I, and chol @ w == y."""
 
     X: np.ndarray
     y: np.ndarray
@@ -54,7 +54,7 @@ class GPModel:
     noise: float
     jitter: float
     chol: np.ndarray
-    alpha: np.ndarray
+    w: np.ndarray
 
 
 def _sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -86,18 +86,26 @@ def _fit(X: np.ndarray, y: np.ndarray, p: KernelParams, noise: float, sq: np.nda
         raise ValueError("need at least one observation")
     if noise < 0:
         raise ValueError(f"noise must be non-negative, got {noise}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("targets must be finite")
 
+    t = y.shape[0]
     K = _rbf(p, sq)
-    t = K.shape[0]
+    e = int(np.frexp(np.max(np.abs(y)))[1])  # max|y| < 2^e: |y'| < 1, so w'^T w' cannot overflow
+    B = np.empty((t + 1, t + 1))
+    B[:t, :t] = K
+    B[t, :t] = B[:t, t] = np.ldexp(y, -e)
+    B[t, t] = np.finfo(np.float64).max  # the last pivot, c - w'^T w', stays positive
+    diag = np.arange(t)
     last_err = None
     for jitter in _JITTERS:
+        B[diag, diag] = K[diag, diag] + (noise + jitter)
         try:
-            L = np.linalg.cholesky(K + (noise + jitter) * np.eye(t))
+            F = np.linalg.cholesky(B)
         except np.linalg.LinAlgError as err:
             last_err = err
             continue
-        alpha = solve_triangular(L.T, solve_triangular(L, y, lower=True), lower=False)
-        return GPModel(X=X, y=y, kernel=p, noise=noise, jitter=jitter, chol=L, alpha=alpha)
+        return GPModel(X=X, y=y, kernel=p, noise=noise, jitter=jitter, chol=F[:t, :t], w=np.ldexp(F[t, :t], e))
     raise np.linalg.LinAlgError(
         f"Cholesky factorization failed up to jitter {_JITTERS[-1]}: {last_err}"
     )
@@ -108,18 +116,17 @@ def gp_predict_batch(m: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     if Q.shape[1] != m.X.shape[1]:
         raise ValueError(f"query dimension {Q.shape[1]} does not match model dimension {m.X.shape[1]}")
-    k_star = _rbf(m.kernel, _sqdist(m.X, Q))  # (t, n_query)
-    mean = k_star.T @ m.alpha
-    v = solve_triangular(m.chol, k_star, lower=True)
+    v = np.linalg.inv(m.chol) @ _rbf(m.kernel, _sqdist(m.X, Q))  # L^-1 k*, (t, n_query)
+    mean = v.T @ m.w
     var = np.maximum(m.kernel.signal_variance - np.sum(v * v, axis=0), 0.0)
     return mean, var
 
 
 def log_marginal_likelihood(m: GPModel) -> float:
-    """-1/2 y^T alpha - sum(log diag L) - t/2 log(2 pi)."""
+    """-1/2 w^T w - sum(log diag L) - t/2 log(2 pi), where w^T w = y^T (K + noise*I)^-1 y."""
     t = m.y.shape[0]
     return float(
-        -0.5 * float(m.y @ m.alpha)
+        -0.5 * float(m.w @ m.w)
         - float(np.sum(np.log(np.diag(m.chol))))
         - 0.5 * t * log(2.0 * pi)
     )

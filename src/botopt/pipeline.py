@@ -77,14 +77,6 @@ class PipelineConfig:
     n_threads: int = 1
     space: SearchSpace = field(default_factory=default_dt_space)
 
-    def to_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "space"}
-        d["space"] = [
-            {"name": dim.name, "kind": dim.kind, "lower": dim.lower, "upper": dim.upper}
-            for dim in self.space.dims
-        ]
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
         d = dict(d)

@@ -61,8 +61,26 @@ def test_kernel_params_must_be_positive():
 def test_gp_fit_single_point_unit_kernel():
     m = gp_fit(np.array([[0.0]]), np.array([1.0]), KernelParams(1.0, 1.0), noise=0.0)
     assert m.chol[0, 0] == pytest.approx(1.0)
-    assert m.alpha[0] == pytest.approx(1.0)
+    assert m.w[0] == pytest.approx(1.0)
     assert m.jitter == 0.0
+
+
+def test_gp_fit_huge_targets_keep_jitter_zero():
+    # the bordered factorization scales y by a power of two first: unscaled,
+    # w^T w would overflow at these targets and every jitter rung would fail
+    rng = np.random.default_rng(5)
+    X = rng.random((12, 2))
+    y = rng.standard_normal(12) * 1e200
+    m = gp_fit(X, y, KernelParams(1.0, 0.3), noise=1e-6)
+    assert m.jitter == 0.0
+    np.testing.assert_allclose(m.chol @ m.w, y, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gp_fit_rejects_non_finite_targets(bad):
+    y = np.array([0.5, bad, -1.0])
+    with pytest.raises(ValueError, match="finite"):
+        gp_fit(np.array([[0.0], [0.5], [1.0]]), y, KernelParams(1.0, 0.5), 1e-6)
 
 
 def test_gp_fit_duplicate_rows_takes_jitter_path():

@@ -230,7 +230,16 @@ def test_cv_objective_equals_fresh_fits_on_each_fold(small_data):
 
 def test_config_round_trip():
     cfg = small_config(data_path="flows.csv", feature_columns=["a", "b"])
-    d = cfg.to_dict()
-    assert d["space"][0]["name"] == "max_depth"
+    d = {  # the config as a JSON file spells it
+        "seed": 7, "data_path": "flows.csv", "feature_columns": ["a", "b"],
+        "test_fraction": 0.2, "smote_k": 3, "smote_ratio": 1.0, "budget": 6,
+        "n_init": 4, "cv_folds": 3, "n_candidates": 150,
+        "space": [
+            {"name": "max_depth", "kind": "integer", "lower": 1, "upper": 50},
+            {"name": "min_samples_split", "kind": "integer", "lower": 2, "upper": 100},
+            {"name": "min_samples_leaf", "kind": "integer", "lower": 1, "upper": 50},
+            {"name": "max_features_fraction", "kind": "continuous", "lower": 0.05, "upper": 1.0},
+        ],
+    }
     assert PipelineConfig.from_dict(d) == cfg
     assert PipelineConfig.from_dict(json.loads(json.dumps(d))) == cfg
