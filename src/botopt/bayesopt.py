@@ -4,6 +4,10 @@ The loop is standard: a seeded Latin-hypercube design seeds the surrogate,
 then each iteration fits a GP to all observations (targets standardized to
 zero mean and unit variance), maximizes Expected Improvement over a cloud
 of uniform random candidates in the unit cube, and evaluates the winner.
+The GP is used through its public calls only: ``tune_kernel`` picks the
+kernel on the first proposal step and every RETUNE_EVERY steps after it,
+and each step is one ``gp_fit`` with the last tuned kernel, both at the
+observation noise DEFAULT_NOISE.
 Integer dimensions are optimized continuously and rounded at evaluation
 time; rounded configurations are cached so a duplicate proposal never
 re-runs the objective.
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import GPModel, _fit, _sqdist, _tune, default_kernel_grid, gp_predict_batch
+from .gp import GPModel, default_kernel_grid, gp_fit, gp_predict_batch, tune_kernel
 
 __all__ = [
     "Dim",
@@ -168,7 +172,6 @@ def optimize(
     n_init: int | None = None,
     seed: int = 0,
     n_candidates: int = DEFAULT_CANDIDATES,
-    noise: float = DEFAULT_NOISE,
 ) -> Trace:
     """Maximize objective(config) over the space within an evaluation budget.
 
@@ -193,7 +196,6 @@ def optimize(
 
     trials: list[Trial] = []
     units = np.empty((budget, d))
-    sq = np.zeros((budget, budget))  # squared distances between units, grown per trial
     cache: dict[tuple, tuple[float, bool, str]] = {}
 
     def record(config: dict, index: int) -> None:
@@ -207,20 +209,17 @@ def optimize(
         value, failed, error = cache[key]
         trials.append(Trial(config=config, objective=value, index=index, failed=failed, error=error))
         units[index] = _to_unit(space, config)  # index == number of earlier trials
-        sq[index, :index] = sq[:index, index] = _sqdist(units[index : index + 1], units[:index])[0]
 
     for i, u in enumerate(latin_hypercube(n_init, d, init_rng)):
         record(_to_native(space, u), i)
 
-    model = None
     for i in range(n_init, budget):
         y = np.array([t.objective for t in trials])
         sigma = float(np.std(y))
         y_std = (y - float(np.mean(y))) / (sigma if sigma > 0 else 1.0)
-        if model is None or (i - n_init) % RETUNE_EVERY == 0:
-            model = _tune(units[:i], y_std, default_kernel_grid(), noise, sq[:i, :i])
-        else:
-            model = _fit(units[:i], y_std, model.kernel, noise, sq[:i, :i])
+        if (i - n_init) % RETUNE_EVERY == 0:  # true on the first proposal step
+            kernel = tune_kernel(units[:i], y_std, default_kernel_grid(), DEFAULT_NOISE)
+        model = gp_fit(units[:i], y_std, kernel, DEFAULT_NOISE)
 
         prop_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
         config = propose_next(model, space, float(y_std.max()), prop_seed, n_candidates)

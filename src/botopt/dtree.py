@@ -98,7 +98,6 @@ class TreeModel:
     root: Leaf | Split
     n_features: int
     depth: int
-    hp: HyperParams
 
 
 def _feature_candidates(x, attack, rows, min_leaf, feature):
@@ -126,7 +125,8 @@ def _feature_candidates(x, attack, rows, min_leaf, feature):
     if fbest == 0.0:
         return None
     sel = np.flatnonzero(score >= fbest * (1.0 - _TIE_BAND))
-    thresholds = (xs[cut[sel]] + xs[cut[sel] + 1]) / 2.0
+    # halving first: (a + b) / 2 overflows to inf near the float64 maximum
+    thresholds = xs[cut[sel]] / 2.0 + xs[cut[sel] + 1] / 2.0
     candidates = [
         (float(score[i]), feature, float(t), int(e[i]), int(nl[i]))
         for i, t in zip(sel, thresholds)
@@ -223,7 +223,7 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
         else:
             left = built.pop()
             built.append(Split(feature=node[0], threshold=node[1], left=left, right=built.pop()))
-    return TreeModel(root=built[0], n_features=n_features, depth=depth, hp=hp)
+    return TreeModel(root=built[0], n_features=n_features, depth=depth)
 
 
 def predict_many(t: TreeModel, X: np.ndarray) -> np.ndarray:

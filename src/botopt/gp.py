@@ -46,10 +46,10 @@ class KernelParams:
 class GPModel:
     """Fitted GP state. noise is the requested observation noise; jitter is
     any extra diagonal added to rescue the factorization, so
-    chol @ chol.T == K + (noise + jitter) * I, and chol @ w == y."""
+    chol @ chol.T == K + (noise + jitter) * I, and chol @ w == y for the
+    fitted targets y."""
 
     X: np.ndarray
-    y: np.ndarray
     kernel: KernelParams
     noise: float
     jitter: float
@@ -105,7 +105,7 @@ def _fit(X: np.ndarray, y: np.ndarray, p: KernelParams, noise: float, sq: np.nda
         except np.linalg.LinAlgError as err:
             last_err = err
             continue
-        return GPModel(X=X, y=y, kernel=p, noise=noise, jitter=jitter, chol=F[:t, :t], w=np.ldexp(F[t, :t], e))
+        return GPModel(X=X, kernel=p, noise=noise, jitter=jitter, chol=F[:t, :t], w=np.ldexp(F[t, :t], e))
     raise np.linalg.LinAlgError(
         f"Cholesky factorization failed up to jitter {_JITTERS[-1]}: {last_err}"
     )
@@ -124,7 +124,7 @@ def gp_predict_batch(m: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def log_marginal_likelihood(m: GPModel) -> float:
     """-1/2 w^T w - sum(log diag L) - t/2 log(2 pi), where w^T w = y^T (K + noise*I)^-1 y."""
-    t = m.y.shape[0]
+    t = m.w.shape[0]
     return float(
         -0.5 * float(m.w @ m.w)
         - float(np.sum(np.log(np.diag(m.chol))))
@@ -135,25 +135,22 @@ def log_marginal_likelihood(m: GPModel) -> float:
 def tune_kernel(
     X: np.ndarray, y: np.ndarray, grid: list[KernelParams], noise: float
 ) -> KernelParams:
-    """Grid member maximizing the evidence; earliest grid order wins ties."""
+    """Grid member maximizing the evidence; earliest grid order wins ties.
+    The squared distances between the rows of X are computed once and
+    shared by every candidate's fit."""
     if not grid:
         raise ValueError("kernel grid is empty")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return _tune(X, y, grid, noise, _sqdist(X, X)).kernel
-
-
-def _tune(X: np.ndarray, y: np.ndarray, grid: list[KernelParams], noise: float, sq: np.ndarray) -> GPModel:
-    """The fitted model of tune_kernel's winner, every candidate sharing sq."""
-    best: GPModel | None = None
+    sq = _sqdist(X, X)
+    best: KernelParams | None = None
     best_lml = -np.inf
     for cand in grid:
         try:
-            model = _fit(X, y, cand, noise, sq)
+            lml = log_marginal_likelihood(_fit(X, y, cand, noise, sq))
         except np.linalg.LinAlgError:
             continue
-        lml = log_marginal_likelihood(model)
         if lml > best_lml:
-            best, best_lml = model, lml
+            best, best_lml = cand, lml
     if best is None:
         raise np.linalg.LinAlgError("every kernel candidate failed to factorize")
     return best

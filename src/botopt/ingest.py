@@ -92,8 +92,10 @@ class Dataset:
         return order
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """Row subset in the given index order."""
-        idx = np.asarray(indices, dtype=np.intp)
+        """Row subset in the given index order; indices must be integers."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu":
+            raise TypeError(f"row indices must have an integer dtype, got {idx.dtype}")
         return Dataset(self.features[idx], self.labels[idx], self.feature_names)
 
 
@@ -107,7 +109,6 @@ class SplitPair:
 
     train: Dataset
     test: Dataset
-    seed: int
     train_indices: np.ndarray = field(repr=False)
     test_indices: np.ndarray = field(repr=False)
 
@@ -153,6 +154,10 @@ def load_flows(
             if raw == positive_label:
                 label = 1
             else:
+                if not raw:
+                    raise ValueError(
+                        f"{path}: missing label at row {rownum}, column {label_column!r}"
+                    )
                 if negative is None:
                     negative = raw
                 if raw != negative:
@@ -298,7 +303,6 @@ def stratified_split(d: Dataset, test_fraction: float, seed: int) -> SplitPair:
     return SplitPair(
         train=d.take(train_indices),
         test=d.take(test_indices),
-        seed=seed,
         train_indices=train_indices,
         test_indices=test_indices,
     )

@@ -42,13 +42,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 
-    def flipped(self) -> "ConfusionMatrix":
-        """Counts under the opposite positive-class convention."""
-        return ConfusionMatrix(
-            tp=self.tn, tn=self.tp, fp=self.fn, fn=self.fp,
-            positive_class=1 - self.positive_class,
-        )
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -94,8 +87,7 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
         raise ValueError("empty confusion matrix")
     accuracy = (cm.tp + cm.tn) / cm.total
     precision, recall, f = _prf(cm.tp, cm.fp, cm.fn)
-    other = cm.flipped()
-    precision_o, recall_o, f_o = _prf(other.tp, other.fp, other.fn)
+    precision_o, recall_o, f_o = _prf(cm.tn, cm.fn, cm.fp)  # the opposite positive class
     return MetricsReport(
         accuracy=accuracy,
         precision=precision,

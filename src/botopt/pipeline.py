@@ -94,7 +94,6 @@ class RunReport:
     counts_after: dict[int, int]
     trace: Trace
     best_hp: HyperParams
-    baseline_hp: HyperParams
     optimized_metrics: MetricsReport
     baseline_metrics: MetricsReport
     timings: dict[str, float]
@@ -268,7 +267,6 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> RunRepo
         counts_after=counts_after,
         trace=trace,
         best_hp=best_hp,
-        baseline_hp=DEFAULT_HP,
         optimized_metrics=optimized_metrics,
         baseline_metrics=baseline_metrics,
         timings=timings,

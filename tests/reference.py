@@ -88,7 +88,7 @@ def ref_best_split(X, y, min_samples_leaf, features, n_classes):
     for f in sorted(features):
         values = np.unique(X[:, f])
         for lo, hi in zip(values[:-1], values[1:]):
-            thr = (float(lo) + float(hi)) / 2.0
+            thr = float(lo) / 2.0 + float(hi) / 2.0
             mask = X[:, f] <= thr
             nl = int(mask.sum())
             nr = n - nl

@@ -252,9 +252,8 @@ def test_duplicates_use_cache_instead_of_reevaluating():
 
 
 def test_optimize_equals_unshared_surrogate_loop():
-    # optimize's loop rebuilt from the public GP calls, each of which
-    # computes its own squared distances; the shared, grown matrix and the
-    # reused re-tune model must not change a single trial
+    # optimize's loop rebuilt from the public GP calls, with the unit points
+    # rebuilt from the trial configs on every step
     space, budget, seed, noise = default_dt_space(), 45, 3, 1e-6
 
     def objective(config):
@@ -294,14 +293,26 @@ def test_optimize_equals_unshared_surrogate_loop():
             config = _to_native(space, sub_rng.random(d))
         record(config, i)
 
-    trace = optimize(objective, space, budget=budget, seed=seed, noise=noise)
+    trace = optimize(objective, space, budget=budget, seed=seed)
     assert any(t.failed for t in trials) and not all(t.failed for t in trials)
     assert trace.trials == tuple(trials)
 
 
-def test_optimize_rejects_negative_noise():
-    with pytest.raises(ValueError, match="noise"):
-        optimize(parabola, SPACE_1D, budget=6, n_init=3, noise=-1e-6)
+@pytest.mark.parametrize("budget, n_init", [(23, 5), (20, 5), (6, 5), (5, 5)])
+def test_optimize_fits_every_step_and_retunes_every_retune_every(monkeypatch, budget, n_init):
+    fits, tunes = [], []
+
+    def counting(calls, fn):
+        def wrapped(X, *args):
+            calls.append(len(X))  # the step: one row per earlier trial
+            return fn(X, *args)
+        return wrapped
+
+    monkeypatch.setattr(botopt.bayesopt, "gp_fit", counting(fits, gp_fit))
+    monkeypatch.setattr(botopt.bayesopt, "tune_kernel", counting(tunes, tune_kernel))
+    optimize(parabola, SPACE_1D, budget=budget, n_init=n_init, seed=2)
+    assert fits == list(range(n_init, budget))
+    assert tunes == list(range(n_init, budget, RETUNE_EVERY))  # ceil((budget - n_init) / RETUNE_EVERY) calls
 
 
 def test_optimize_deterministic():

@@ -133,6 +133,18 @@ def test_tree_matches_reference_on_gaussian_mixture():
     assert same_tree(t.root, ref)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_thresholds_near_the_float_maximum_stay_finite(sign):
+    # (a + b) / 2 overflows to inf here; halving each value first does not
+    X = sign * np.array([[1e308], [1.5e308], [1.2e308], [1.6e308]])
+    y = np.array([0, 1, 0, 1])
+    t = fit_tree(dataset(X, y), HP_OPEN, seed=0)
+    assert isinstance(t.root, Split) and np.isfinite(t.root.threshold)
+    assert isinstance(t.root.left, Leaf) and isinstance(t.root.right, Leaf)
+    ref = ref_fit_tree(X, y, HP_OPEN.max_depth, HP_OPEN.min_samples_split, HP_OPEN.min_samples_leaf, 2)
+    assert same_tree(t.root, ref)
+
+
 def tied_data(seed, n=90):
     """Few distinct values per feature and a duplicated column: many equal
     values, and exact Gini ties within and across features."""

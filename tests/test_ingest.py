@@ -52,6 +52,12 @@ def test_load_flows_unknown_label(tmp_path):
         load_flows(p, "label", "attack")
 
 
+def test_load_flows_empty_label_is_not_the_normal_class(tmp_path):
+    p = write_csv(tmp_path / "bad.csv", "a,b,label\n1,2,attack\n3,4,\n5,6,\n")
+    with pytest.raises(ValueError, match=r"missing label at row 2, column 'label'"):
+        load_flows(p, "label", "attack")
+
+
 def test_load_flows_empty_file(tmp_path):
     p = write_csv(tmp_path / "empty.csv", "")
     with pytest.raises(ValueError, match="empty file"):
@@ -269,6 +275,16 @@ def test_dataset_stores_float_and_bool_labels_as_int64(labels):
     d = Dataset(np.zeros((3, 1)), labels, ("x",))
     assert d.labels.dtype == np.int64
     assert d.labels.tolist() == [0, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "indices, dtype",
+    [(np.array([True, False, False, True]), "bool"), (np.array([0.7, 2.9]), "float64")],
+)
+def test_dataset_take_rejects_non_integer_indices(indices, dtype):
+    d = Dataset(np.arange(4.0).reshape(-1, 1), np.array([0, 1, 0, 1]), ("x",))
+    with pytest.raises(TypeError, match=dtype):
+        d.take(indices)
 
 
 def test_dataset_is_immutable():

@@ -119,8 +119,7 @@ def test_baseline_tree_reused_only_when_default_wins(small_data, small_report):
     assert tuned.baseline_tree is not tuned.optimized_tree
 
 
-def test_baseline_uses_default_hyperparameters(small_report):
-    assert small_report.baseline_hp == DEFAULT_HP
+def test_baseline_uses_default_hyperparameters():
     assert DEFAULT_HP.max_depth == 50 and DEFAULT_HP.min_samples_split == 2
     assert DEFAULT_HP.min_samples_leaf == 1 and DEFAULT_HP.max_features_fraction == 1.0
 
@@ -141,7 +140,6 @@ def test_leakage_guard_rejects_overlap(small_data):
     bad = SplitPair(
         train=sp.train,
         test=sp.test,
-        seed=0,
         train_indices=sp.train_indices,
         test_indices=np.concatenate([[sp.train_indices[0]], sp.test_indices[1:]]),
     )
