@@ -43,6 +43,8 @@ DEFAULT_CANDIDATES = 1000
 DEFAULT_NOISE = 1e-6
 RETUNE_EVERY = 5
 _erfc = np.frompyfunc(math.erfc, 1, 1)  # numpy has no erfc
+TAIL_Z = -2.5  # EI below this z comes from _tail_ratio
+TAIL_TERMS = 80
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,31 @@ def _ei_vector(mean: np.ndarray, std: np.ndarray, best_so_far: float, xi: float)
     with np.errstate(over="ignore"):  # a tiny std overflows to +-inf, which the clip takes
         z = np.clip(improve[pos] / std[pos], -1e8, 1e8)  # cdf/pdf are exactly 0/1 out here
     cdf = 0.5 * _erfc(-z / math.sqrt(2.0)).astype(np.float64)  # the standard normal cdf
-    out[pos] = improve[pos] * cdf + std[pos] * (np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi))
+    pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+    ei = improve[pos] * cdf + std[pos] * pdf
+    tail = z < TAIL_Z
+    ei[tail] = std[pos][tail] * pdf[tail] * _tail_ratio(-z[tail])
+    out[pos] = ei
     return np.maximum(out, 0.0)
+
+
+def _tail_ratio(t: np.ndarray) -> np.ndarray:
+    """(pdf(t) - t * (1 - cdf(t))) / pdf(t) for t >= -TAIL_Z, the lower-tail
+    EI over std * pdf(z) at z = -t.
+
+    Below TAIL_Z, z * cdf(z) + pdf(z) is a difference of terms about t^2
+    times larger than itself, and the rounding of z inside erfc and exp
+    grows with t as well: at z = -21 the two-term form is off by 3e-11
+    relative and can fall when the mean rises. Laplace's continued fraction
+    for the Mills ratio, (1 - cdf(t)) / pdf(t) = 1/(t + k) with
+    k = 1/(t + 2/(t + 3/(t + ...))), gives the ratio as k / (t + k), with no
+    subtraction; TAIL_TERMS terms reach full double precision from TAIL_Z on.
+    """
+    rest = np.zeros_like(t)
+    for n in range(TAIL_TERMS, 1, -1):
+        rest = n / (t + rest)
+    k = 1.0 / (t + rest)
+    return k / (t + k)
 
 
 def _to_native(space: SearchSpace, u: np.ndarray) -> dict:

@@ -94,6 +94,19 @@ def test_ei_nondecreasing_in_mean(means, std, best):
     assert expected_improvement(hi, std, best) >= expected_improvement(lo, std, best)
 
 
+def test_ei_lower_tail_is_accurate_and_rises_with_the_mean():
+    # z * cdf(z) + pdf(z) cancels below TAIL_Z: at z = -21 it was off by
+    # 1e-11 relative and fell as the mean rose by 2e-14
+    from scipy.integrate import quad
+    from scipy.special import ndtr
+
+    assert expected_improvement(2.04833823564852e-14, 1.0, 21.0) >= expected_improvement(0.0, 1.0, 21.0)
+    for z in (-3.0, -8.0, -21.0, -30.0):
+        # E[max(Y, 0)] for Y ~ N(z, 1) is the integral of P(Y > s) over s > 0
+        ref, _ = quad(lambda s: ndtr(-s), -z, np.inf, epsabs=0.0, epsrel=1e-13)
+        assert expected_improvement(z, 1.0, 0.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_ei_vector_equals_scipy_normal_formula():
     # the cdf comes from libm's erfc, not scipy's ndtr: equal to a few ulps
     # relative, out to the +-1e8 clip, and exactly 0 at std = 0
