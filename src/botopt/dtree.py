@@ -9,11 +9,11 @@ shared sort is never written. The split search at a node therefore scans
 already-sorted rows and never sorts. Trees grow from an explicit stack, so
 their depth is not bounded by Python's recursion limit.
 
-Labels are 0 (normal) and 1 (attack), which ``Dataset`` enforces. Split
-candidates are the midpoints of consecutive distinct sorted values of each
-allowed feature; one cumulative sum of the labels in that feature's order
-gives a_l, the attack count left of every cut. For two classes the Gini
-impurity decrease of a cut is (Breiman et al., CART, 1984)
+Labels are 0 (normal) and 1 (attack), which ``Dataset`` enforces. A split
+candidate is a cut between consecutive distinct sorted values of an allowed
+feature, nl of the node's rows left of it; one cumulative sum of the labels
+in that feature's order gives a_l, the attack count left of every cut. For
+two classes the Gini impurity decrease of a cut is (Breiman et al., CART, 1984)
 
     dec = 2 (nl nr / n^2) (p_l - p_r)^2 = 2 S / n^2,   S = e^2 / (nl nr),
 
@@ -23,9 +23,12 @@ row limit) e is exact in float64: a cut has a positive decrease exactly when
 e != 0, and zero-gain cuts are never taken. Candidates are ranked by the
 float S, which carries at most about 2 ulp of relative error; those within
 a relative 1e-12 of the best are re-compared exactly as Fraction(e^2, nl nr),
-and the first exact best in (feature, threshold) order wins. That keeps
-split selection bit-reproducible and lets an exhaustive reference
-implementation agree with this one node for node.
+and the first exact best in (feature, cut) order wins. That keeps split
+selection bit-reproducible and lets an exhaustive reference implementation
+agree with this one node for node. The winner's threshold is a/2 + b/2 for
+the values a < b either side of it, or a where that rounds onto b (adjacent
+floats): a <= threshold < b, as in scikit-learn, so X <= threshold sends
+left exactly the nl rows the cut scored.
 
 Per-node split search across features is embarrassingly parallel; with
 n_threads > 1 features are scored concurrently and reduced in ascending
@@ -104,8 +107,8 @@ def _feature_candidates(x, attack, rows, min_leaf, feature):
     """Band of near-best candidates for one feature, given a node's rows in
     ascending order of that feature's values x and the float64 0/1 labels.
 
-    Returns (feature_best_score, [(score, feature, threshold, e, nl)]), or
-    None when every cut of the feature has e == 0.
+    Returns (feature_best_score, [(score, feature, nl, e)]), with the cuts in
+    ascending order, or None when every cut of the feature has e == 0.
     """
     xs = x[rows]
     n = xs.shape[0]
@@ -125,21 +128,14 @@ def _feature_candidates(x, attack, rows, min_leaf, feature):
     if fbest == 0.0:
         return None
     sel = np.flatnonzero(score >= fbest * (1.0 - _TIE_BAND))
-    # halving first: (a + b) / 2 overflows to inf near the float64 maximum
-    thresholds = xs[cut[sel]] / 2.0 + xs[cut[sel] + 1] / 2.0
-    candidates = [
-        (float(score[i]), feature, float(t), int(e[i]), int(nl[i]))
-        for i, t in zip(sel, thresholds)
-    ]
-    return fbest, candidates
+    return fbest, [(float(score[i]), feature, int(nl[i]), int(e[i])) for i in sel]
 
 
 def _node_split(columns, attack, order, features, min_leaf, pool):
-    """Best (feature, threshold, score S) of one node, or None when no cut
-    has a positive Gini decrease (2 S / n^2).
-
-    ``order[f]`` lists the node's rows in ascending order of ``columns[f]``;
-    ``features`` is ascending.
+    """Best (feature, threshold, n_left, score S) of one node, or None when no
+    cut has a positive Gini decrease (2 S / n^2). The split sends
+    ``order[f][:n_left]`` left; ``order[f]`` lists the node's rows in
+    ascending order of ``columns[f]``, and ``features`` is ascending.
     """
     n = order.shape[1]
     args = [(columns[f], attack, order[f], min_leaf, f) for f in features]
@@ -153,9 +149,12 @@ def _node_split(columns, attack, order, features, min_leaf, pool):
 
     floor = max(fbest for fbest, _ in results) * (1.0 - _TIE_BAND)
     finalists = [c for _, rows in results for c in rows if c[0] >= floor]
-    # max keeps the first exact best, in (feature, threshold) order
-    score, f, thr, _, _ = max(finalists, key=lambda c: Fraction(c[3] ** 2, c[4] * (n - c[4])))
-    return f, thr, score
+    # max keeps the first exact best, in (feature, cut) order
+    score, f, nl, _ = max(finalists, key=lambda c: Fraction(c[3] ** 2, c[2] * (n - c[2])))
+    a, b = columns[f][order[f][nl - 1 : nl + 1]].tolist()
+    # halving first: (a + b) / 2 overflows to inf near the float64 maximum
+    mid = a / 2.0 + b / 2.0
+    return f, mid if mid < b else a, nl, score
 
 
 def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> TreeModel:
@@ -195,20 +194,17 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
                 subset = np.sort(rng.choice(n_features, size=m_feat, replace=False)).tolist()
                 found = _node_split(columns, attack, order, subset, hp.min_samples_leaf, pool)
             if found is not None:
-                f, thr, _ = found
-                rows = order[f]
-                n_left = int(np.searchsorted(columns[f][rows], thr, side="right"))
-                if 0 < n_left < n:  # else the midpoint rounded onto a data value
-                    goes_left[rows[:n_left]] = True
-                    goes_left[rows[n_left:]] = False
-                    # stable partition keeps each feature's order within both children
-                    mask = np.take(goes_left, order).ravel()
-                    left = np.compress(mask, order).reshape(n_features, n_left)
-                    right = np.compress(~mask, order).reshape(n_features, n - n_left)
-                    preorder.append((f, thr))
-                    stack.append((right, level + 1))
-                    stack.append((left, level + 1))
-                    continue
+                f, thr, n_left, _ = found
+                goes_left[order[f][:n_left]] = True
+                goes_left[order[f][n_left:]] = False
+                # stable partition keeps each feature's order within both children
+                mask = np.take(goes_left, order).ravel()
+                left = np.compress(mask, order).reshape(n_features, n_left)
+                right = np.compress(~mask, order).reshape(n_features, n - n_left)
+                preorder.append((f, thr))
+                stack.append((right, level + 1))
+                stack.append((left, level + 1))
+                continue
             counts.flags.writeable = False
             preorder.append(Leaf(counts=counts, majority=int(np.argmax(counts))))
             depth = max(depth, level)

@@ -73,10 +73,13 @@ def ref_gini_fraction(counts) -> Fraction:
 
 
 def ref_best_split(X, y, min_samples_leaf, features, n_classes):
-    """Exhaustive (feature, midpoint) enumeration with exact arithmetic.
+    """Exhaustive enumeration of the partitions X[:, f] <= lo, for every pair
+    lo < hi of consecutive distinct values, with exact arithmetic.
 
-    Returns (feature, threshold, Fraction decrease) or None. Ties keep the
-    earliest candidate in (feature index, threshold) order.
+    Returns (feature, threshold, Fraction decrease, lo) or None. Ties keep
+    the earliest candidate in (feature index, lo) order. The threshold is
+    the midpoint lo/2 + hi/2, or lo when that midpoint rounds onto hi
+    (adjacent floats), so that lo <= threshold < hi.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -88,8 +91,7 @@ def ref_best_split(X, y, min_samples_leaf, features, n_classes):
     for f in sorted(features):
         values = np.unique(X[:, f])
         for lo, hi in zip(values[:-1], values[1:]):
-            thr = float(lo) / 2.0 + float(hi) / 2.0
-            mask = X[:, f] <= thr
+            mask = X[:, f] <= lo
             nl = int(mask.sum())
             nr = n - nl
             if nl < min_samples_leaf or nr < min_samples_leaf:
@@ -98,7 +100,8 @@ def ref_best_split(X, y, min_samples_leaf, features, n_classes):
             g_right = ref_gini_fraction(np.bincount(y[~mask], minlength=n_classes))
             dec = g_parent - Fraction(nl, n) * g_left - Fraction(nr, n) * g_right
             if best is None or dec > best[2]:
-                best = (f, thr, dec)
+                mid = float(lo) / 2.0 + float(hi) / 2.0
+                best = (f, mid if mid < hi else float(lo), dec, lo)
     if best is None or best[2] <= 0:
         return None
     return best
@@ -131,10 +134,9 @@ def ref_fit_tree(
         found = ref_best_split(X[idx], y[idx], min_samples_leaf, features, n_classes)
         if found is None:
             return leaf
-        f, thr, _ = found
+        f, thr, _, lo = found
         mask = X[idx, f] <= thr
-        if not 0 < int(mask.sum()) < len(idx):
-            return leaf
+        assert np.array_equal(mask, X[idx, f] <= lo)
         return ("split", f, thr, grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1))
 
     return grow(np.arange(len(y)), 0)

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from botopt.dtree import (
     HyperParams,
@@ -32,6 +34,24 @@ def dataset(X, y):
 
 HP_OPEN = HyperParams(max_depth=50, min_samples_split=2, min_samples_leaf=1)
 
+# Where neighbouring values a < b are adjacent floats, a/2 + b/2 can round
+# onto b. Here it does: a = 1 + 2^-52, and one cut, at a, separates the classes.
+ADJ_A = 1.0 + 2.0**-52
+ADJ_B = float(np.nextafter(ADJ_A, 2.0))
+ADJ_X = np.array([[ADJ_A], [ADJ_A], [ADJ_B], [ADJ_B], [3.0], [3.0]])
+ADJ_Y = np.array([0, 0, 1, 1, 1, 1])
+FLOAT_MAX = float(np.finfo(np.float64).max)
+ADJACENT_BASES = [1.0, -1.0, 0.0, 5e-324, -5e-324, 3 * 5e-324, -8 * 5e-324, FLOAT_MAX, -FLOAT_MAX]
+
+
+def adjacent_run(base, length):
+    """length consecutive float64 values from base, stepping toward -base."""
+    run = [base]
+    toward = -np.inf if base > 0 else np.inf
+    for _ in range(length - 1):
+        run.append(float(np.nextafter(run[-1], toward)))
+    return run
+
 
 def best_split(X, y, hp, feature_subset):
     """Best (feature, threshold, Gini decrease) over the allowed features of
@@ -43,7 +63,7 @@ def best_split(X, y, hp, feature_subset):
     )
     if found is None:
         return None
-    f, thr, score = found
+    f, thr, _, score = found
     return f, thr, 2.0 * score / len(y) ** 2
 
 
@@ -75,15 +95,25 @@ def test_best_split_respects_min_samples_leaf():
     assert thr == 1.5  # the 0.5 cut would starve the left child
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_best_split_matches_bruteforce_oracle(seed):
+def random_node(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 21))
     X = rng.random((n, 3))
     y = rng.integers(0, 2, n)
-    hp = HyperParams(min_samples_leaf=int(rng.integers(1, 3)))
-    got = best_split(X, y, hp, [0, 1, 2])
-    want = ref_best_split(X, y, hp.min_samples_leaf, [0, 1, 2], n_classes=2)
+    return X, y, int(rng.integers(1, 3))
+
+
+@pytest.mark.parametrize(
+    "X, y, min_leaf",
+    [
+        *(pytest.param(*random_node(seed), id=str(seed)) for seed in range(10)),
+        pytest.param(ADJ_X, ADJ_Y, 1, id="adjacent-floats"),
+    ],
+)
+def test_best_split_matches_bruteforce_oracle(X, y, min_leaf):
+    features = list(range(X.shape[1]))
+    got = best_split(X, y, HyperParams(min_samples_leaf=min_leaf), features)
+    want = ref_best_split(X, y, min_leaf, features, n_classes=2)
     if want is None:
         assert got is None
     else:
@@ -143,6 +173,50 @@ def test_thresholds_near_the_float_maximum_stay_finite(sign):
     assert isinstance(t.root.left, Leaf) and isinstance(t.root.right, Leaf)
     ref = ref_fit_tree(X, y, HP_OPEN.max_depth, HP_OPEN.min_samples_split, HP_OPEN.min_samples_leaf, 2)
     assert same_tree(t.root, ref)
+
+
+@st.composite
+def adjacent_float_nodes(draw):
+    """(X, y, hp, seed): 2 to 24 rows of 1 to 3 features, each column drawn
+    from one to three runs of adjacent floats."""
+    n = draw(st.integers(2, 24))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        run = st.tuples(st.sampled_from(ADJACENT_BASES), st.integers(1, 4))
+        runs = draw(st.lists(run, min_size=1, max_size=3))
+        values = [v for base, length in runs for v in adjacent_run(base, length)]
+        columns.append(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    hp = HyperParams(
+        min_samples_leaf=draw(st.integers(1, 3)),
+        max_features_fraction=draw(st.sampled_from([0.34, 0.5, 1.0])),
+    )
+    return np.array(columns).T, np.array(y), hp, draw(st.integers(0, 2**16))
+
+
+@given(adjacent_float_nodes())
+@example((ADJ_X, ADJ_Y, HP_OPEN, 0))
+@example((-ADJ_X, ADJ_Y, HP_OPEN, 0))
+@settings(max_examples=150, deadline=None)
+def test_cuts_between_adjacent_floats_are_the_cuts_applied(node):
+    X, y, hp, seed = node
+    t = fit_tree(dataset(X, y), hp, seed=seed)
+    ref = ref_fit_tree(
+        X, y, hp.max_depth, hp.min_samples_split, hp.min_samples_leaf, 2,
+        max_features_fraction=hp.max_features_fraction, seed=seed,
+    )
+    assert same_tree(t.root, ref)
+    acc = []
+    walk_splits(t.root, np.arange(len(y)), X, y, acc)
+    for split, _, _, rows_idx in acc:
+        col = X[rows_idx, split.feature]
+        a, b = col[col <= split.threshold].max(), col[col > split.threshold].min()
+        mid = a / 2.0 + b / 2.0
+        assert a <= split.threshold < b and split.threshold == (mid if mid < b else a)
+    # where one cut separates the classes, as in the examples, both leaves are pure
+    root = ref_best_split(X, y, hp.min_samples_leaf, range(X.shape[1]), n_classes=2)
+    if hp.max_features_fraction == 1.0 and root and root[2] == ref_gini_fraction(np.bincount(y)):
+        assert list(predict_many(t, X)) == list(y)
 
 
 def tied_data(seed, n=90):
@@ -290,25 +364,49 @@ def test_predict_dimension_mismatch():
         predict_many(t, np.zeros((3, 3)))
 
 
-def walk_splits(node, rows_idx, X, y, hp, acc):
+def walk_splits(node, rows_idx, X, y, acc):
+    """Route rows_idx down the tree by X <= threshold, appending (split,
+    n_left, n_right, rows) for each split reached. Every leaf's counts must
+    be the class counts of exactly the rows routed to it, so predict sends
+    each training row to the leaf that fit counted it in."""
     if isinstance(node, Leaf):
+        assert node.counts.tolist() == np.bincount(y[rows_idx], minlength=2).tolist()
         return
     mask = X[rows_idx, node.feature] <= node.threshold
     left_idx, right_idx = rows_idx[mask], rows_idx[~mask]
     acc.append((node, left_idx.size, right_idx.size, rows_idx))
-    walk_splits(node.left, left_idx, X, y, hp, acc)
-    walk_splits(node.right, right_idx, X, y, hp, acc)
+    walk_splits(node.left, left_idx, X, y, acc)
+    walk_splits(node.right, right_idx, X, y, acc)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_accepted_splits_have_positive_decrease_and_legal_children(seed):
+def random_rows(seed):
     rng = np.random.default_rng(seed)
-    X = rng.random((80, 3))
-    y = rng.integers(0, 2, 80)
+    return rng.random((80, 3)), rng.integers(0, 2, 80)
+
+
+def adjacent_float_rows(seed):
+    """80 rows of 3 features, each column drawn from three runs of four
+    adjacent floats."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for _ in range(3):
+        bases = rng.choice(ADJACENT_BASES, size=3, replace=False).tolist()
+        columns.append(rng.choice([v for base in bases for v in adjacent_run(base, 4)], 80))
+    return np.array(columns).T, rng.integers(0, 2, 80)
+
+
+@pytest.mark.parametrize(
+    "seed, X, y",
+    [
+        *(pytest.param(seed, *random_rows(seed), id=str(seed)) for seed in range(5)),
+        pytest.param(0, *adjacent_float_rows(0), id="adjacent-floats"),
+    ],
+)
+def test_accepted_splits_have_positive_decrease_and_legal_children(seed, X, y):
     hp = HyperParams(max_depth=6, min_samples_split=5, min_samples_leaf=2)
     t = fit_tree(dataset(X, y), hp, seed=seed)
     acc = []
-    walk_splits(t.root, np.arange(80), X, y, hp, acc)
+    walk_splits(t.root, np.arange(80), X, y, acc)
     for node, n_left, n_right, rows_idx in acc:
         assert n_left >= hp.min_samples_leaf and n_right >= hp.min_samples_leaf
         mask = X[rows_idx, node.feature] <= node.threshold
