@@ -4,6 +4,13 @@ Flow records arrive as comma-delimited text with a mandatory header row.
 Values are rejected rather than imputed: a missing or non-numeric cell in a
 feature column is an error, because silently repairing cells would distort
 the class-imbalance statistics the rest of the pipeline is built around.
+
+``load_flows`` has two readers. Plain rows (no quotes, LF or CRLF endings,
+every row as wide as the header) are split a chunk at a time with string
+methods and parsed by one ``np.array(..., dtype=np.float64)`` per chunk.
+Any other file, and any file with a bad row, is read by a ``csv.reader``
+loop from the first row; that loop alone reports row errors, so both
+readers give the same Dataset or the same message.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import csv
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -128,9 +136,25 @@ def load_flows(
     Rows keep their file order. The label column is mapped to 1 for
     ``positive_label`` and 0 for the (single) remaining label value; any
     other value is an error. Row numbers in error messages are 1-based data
-    rows (the header is row 0). Cells are parsed into one float64 buffer,
-    8 bytes per cell, which becomes the feature matrix without a copy.
+    rows (the header is row 0). Label cells are stripped, so a label
+    argument that is empty or has surrounding whitespace, or a
+    ``negative_label`` equal to ``positive_label``, is rejected before the
+    file is read. Cells are parsed into one float64 buffer, 8 bytes per
+    cell, which becomes the feature matrix without a copy.
+
+    Two readers share the header and the checks after the last row. Plain
+    rows are split about 32 KiB at a time, and each chunk's feature cells
+    are parsed by one ``np.array(cells, dtype=np.float64)``, which calls
+    ``float()`` on each. A quote, a lone CR or NUL, a row of the wrong
+    width, or a cell or label the ``csv.reader`` loop would reject sends
+    the file back to that loop from the first row: it reads every quoted
+    or irregular file and raises every error about a row.
     """
+    for name, label in (("positive_label", positive_label), ("negative_label", negative_label)):
+        if label is not None and (not label or label != label.strip()):
+            raise ValueError(f"{name} {label!r} is empty or has surrounding whitespace")
+    if negative_label == positive_label:
+        raise ValueError(f"negative_label {negative_label!r} equals positive_label")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -142,35 +166,41 @@ def load_flows(
         )
         n_header = len(header)
 
-        negative = negative_label
-        cells = array("d")
-        labels = bytearray()
-        for rownum, rec in enumerate(reader, start=1):
-            if len(rec) != n_header:
-                raise ValueError(
-                    f"{path}: row {rownum} has {len(rec)} cells, header has {n_header}"
-                )
-            raw = rec[label_pos].strip()
-            if raw == positive_label:
-                label = 1
-            else:
-                if not raw:
+        plain = _read_plain(fh, n_header, label_pos, feat_pos, positive_label, negative_label)
+        if plain is not None:
+            cells, labels = plain
+        else:
+            fh.seek(0)
+            next(reader)
+            negative = negative_label
+            cells = array("d")
+            labels = bytearray()
+            for rownum, rec in enumerate(reader, start=1):
+                if len(rec) != n_header:
                     raise ValueError(
-                        f"{path}: missing label at row {rownum}, column {label_column!r}"
+                        f"{path}: row {rownum} has {len(rec)} cells, header has {n_header}"
                     )
-                if negative is None:
-                    negative = raw
-                if raw != negative:
-                    raise ValueError(
-                        f"{path}: unknown label {raw!r} at row {rownum}, column {label_column!r} "
-                        f"(expected {positive_label!r} or {negative!r})"
-                    )
-                label = 0
-            try:
-                cells.extend([float(rec[p]) for p in feat_pos])
-            except ValueError:
-                _raise_bad_cell(path, rownum, rec, feat_names, feat_pos)
-            labels.append(label)
+                raw = rec[label_pos].strip()
+                if raw == positive_label:
+                    label = 1
+                else:
+                    if not raw:
+                        raise ValueError(
+                            f"{path}: missing label at row {rownum}, column {label_column!r}"
+                        )
+                    if negative is None:
+                        negative = raw
+                    if raw != negative:
+                        raise ValueError(
+                            f"{path}: unknown label {raw!r} at row {rownum}, column {label_column!r} "
+                            f"(expected {positive_label!r} or {negative!r})"
+                        )
+                    label = 0
+                try:
+                    cells.extend([float(rec[p]) for p in feat_pos])
+                except ValueError:
+                    _raise_bad_cell(path, rownum, rec, feat_names, feat_pos)
+                labels.append(label)
 
     if not labels:
         raise ValueError(f"{path}: no data rows")
@@ -198,9 +228,12 @@ def sample_flows(
     checked by ``load_flows`` (8 bytes per cell), then
     ``default_rng(seed).choice(n_pos, size=min(n_positive, n_pos),
     replace=False)`` picks positives by their ordinal among all positive
-    rows. The sampled rows keep their file order. Returns the sampled
-    Dataset together with the full-file class counts.
+    rows, so ``n_positive=0`` keeps the negatives only. The sampled rows
+    keep their file order. Returns the sampled Dataset together with the
+    full-file class counts.
     """
+    if n_positive < 0:
+        raise ValueError(f"n_positive must be >= 0, got {n_positive}")
     d = load_flows(path, label_column, positive_label, feature_columns)
     positives = np.flatnonzero(d.labels == 1)
     keep = d.labels == 0
@@ -234,6 +267,60 @@ def _header_layout(header, label_column, feature_columns, path):
                 f"{path}: column {name!r} is named twice in the label and feature columns"
             )
     return header.index(label_column), feat_names, [header.index(c) for c in feat_names]
+
+
+# Characters read per chunk by the plain-row reader. It holds a few times
+# this much at once as row and cell strings; far larger chunks would raise
+# the peak memory of a load above the feature matrix itself.
+_CHUNK_CHARS = 32 * 1024
+
+
+def _read_plain(fh, n_header, label_pos, feat_pos, positive, negative):
+    """The cells and labels of the rows left in ``fh``, or None where the
+    csv loop must read the file.
+
+    Only commas, quotes, CR, LF and NUL are special to ``csv.reader`` here,
+    so a chunk no longer than the csv field limit, without quotes, lone CRs
+    or NULs, whose rows each hold ``n_header - 1`` commas (a blank line
+    holds none), splits into the same cells.
+    """
+    n_feat = len(feat_pos)
+    cells, labels = array("d"), bytearray()
+    label_of = {}
+    rest = ""
+    while True:
+        text = fh.read(_CHUNK_CHARS)
+        block = rest + text
+        cut = block.rfind("\n") + 1 if text else len(block)
+        block, rest = block[:cut].replace("\r\n", "\n"), block[cut:]
+        if not block:
+            if text:
+                continue
+            return cells, labels
+        if '"' in block or "\r" in block or "\0" in block or len(block) > csv.field_size_limit():
+            return None
+        rows = block.removesuffix("\n").split("\n")
+        if set(map(str.count, rows, repeat(","))) != {n_header - 1}:
+            return None
+        flat = ",".join(rows).split(",")
+        raw = flat[label_pos::n_header]
+        for cell in set(raw).difference(label_of):
+            name = cell.strip()
+            if name != positive:
+                if negative is None:
+                    negative = name
+                if not name or name != negative:
+                    return None
+            label_of[cell] = int(name == positive)
+        ordered = [""] * (len(rows) * n_feat)
+        for j, p in enumerate(feat_pos):
+            ordered[j::n_feat] = flat[p::n_header]
+        try:
+            values = np.array(ordered, dtype=np.float64)
+        except ValueError:
+            return None
+        cells.frombytes(values.view(np.uint8))
+        labels += bytes(map(label_of.__getitem__, raw))
 
 
 def _raise_bad_cell(path, rownum, rec, feat_names, feat_pos):

@@ -8,11 +8,15 @@ closed forms. These functions never call into the package paths they check.
 
 from __future__ import annotations
 
+import csv
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
+
+from botopt.ingest import Dataset
 
 
 # --- Gaussian process -------------------------------------------------------
@@ -235,3 +239,105 @@ def ref_pca2(m):
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
     return centered @ comps.T, comps, eigvals[order]
+
+
+# --- Flow file ingest ---------------------------------------------------------
+
+def ref_load_flows(
+    path,
+    label_column: str,
+    positive_label: str,
+    feature_columns: list[str] | None = None,
+    negative_label: str | None = None,
+) -> Dataset:
+    """The csv.reader loop that read every flow file before the plain-row
+    reader: one row at a time, a float() per feature cell, into the same
+    Dataset."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, expected a header row") from None
+        label_pos, feat_names, feat_pos = _ref_header_layout(
+            header, label_column, feature_columns, path
+        )
+        n_header = len(header)
+
+        negative = negative_label
+        cells = array("d")
+        labels = bytearray()
+        for rownum, rec in enumerate(reader, start=1):
+            if len(rec) != n_header:
+                raise ValueError(
+                    f"{path}: row {rownum} has {len(rec)} cells, header has {n_header}"
+                )
+            raw = rec[label_pos].strip()
+            if raw == positive_label:
+                label = 1
+            else:
+                if not raw:
+                    raise ValueError(
+                        f"{path}: missing label at row {rownum}, column {label_column!r}"
+                    )
+                if negative is None:
+                    negative = raw
+                if raw != negative:
+                    raise ValueError(
+                        f"{path}: unknown label {raw!r} at row {rownum}, column {label_column!r} "
+                        f"(expected {positive_label!r} or {negative!r})"
+                    )
+                label = 0
+            try:
+                cells.extend([float(rec[p]) for p in feat_pos])
+            except ValueError:
+                _ref_raise_bad_cell(path, rownum, rec, feat_names, feat_pos)
+            labels.append(label)
+
+    if not labels:
+        raise ValueError(f"{path}: no data rows")
+    features = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(feat_pos))
+    if not np.isfinite(features).all():
+        i, j = np.argwhere(~np.isfinite(features))[0]
+        raise ValueError(
+            f"{path}: non-finite value {float(features[i, j])} at row {i + 1}, "
+            f"column {feat_names[j]!r}"
+        )
+    return Dataset(features, np.frombuffer(labels, dtype=np.uint8), tuple(feat_names))
+
+
+def _ref_header_layout(header, label_column, feature_columns, path):
+    header = [h.strip() for h in header]
+    if label_column not in header:
+        raise ValueError(f"{path}: label column {label_column!r} not in header {header}")
+    if feature_columns is None:
+        feat_names = [h for h in header if h != label_column]
+    else:
+        missing = [c for c in feature_columns if c not in header]
+        if missing:
+            raise ValueError(f"{path}: feature columns {missing} not in header")
+        feat_names = list(feature_columns)
+    if not feat_names:
+        raise ValueError(f"{path}: no feature columns left after excluding the label")
+    used = [label_column, *feat_names]
+    for name in used:
+        if header.count(name) > 1:
+            raise ValueError(f"{path}: column {name!r} is named twice in the header")
+        if used.count(name) > 1:
+            raise ValueError(
+                f"{path}: column {name!r} is named twice in the label and feature columns"
+            )
+    return header.index(label_column), feat_names, [header.index(c) for c in feat_names]
+
+
+def _ref_raise_bad_cell(path, rownum, rec, feat_names, feat_pos):
+    for name, pos in zip(feat_names, feat_pos):
+        cell = rec[pos].strip()
+        if not cell:
+            raise ValueError(f"{path}: missing value at row {rownum}, column {name!r}")
+        try:
+            float(cell)
+        except ValueError:
+            raise ValueError(
+                f"{path}: non-numeric value {cell!r} at row {rownum}, column {name!r}"
+            ) from None

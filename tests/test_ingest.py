@@ -1,11 +1,15 @@
+import csv
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference import ref_load_flows
 
+from botopt import ingest
 from botopt.ingest import (
     Dataset,
     class_counts,
@@ -135,6 +139,169 @@ def test_load_flows_peak_memory_stays_near_the_feature_matrix(tmp_path):
         tracemalloc.stop()
     assert d.features.shape == (20_000, 10)
     assert peak < 2.5 * d.features.nbytes
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"positive_label": ""}, "positive_label '' is empty"),
+        ({"positive_label": " attack"}, "positive_label ' attack' is empty or has surrounding"),
+        ({"positive_label": "attack\t"}, "positive_label 'attack\\t' is empty or has surrounding"),
+        ({"negative_label": ""}, "negative_label '' is empty"),
+        ({"negative_label": "normal "}, "negative_label 'normal ' is empty or has surrounding"),
+        ({"negative_label": "attack"}, "negative_label 'attack' equals positive_label"),
+    ],
+)
+def test_load_flows_rejects_a_label_argument_no_cell_can_match(tmp_path, kwargs, message):
+    # label cells are stripped, so such an argument would either reject a
+    # valid row ('normal' against the pair 'attack'/'attack') or match no
+    # row at all; it is rejected before the file is opened
+    args = {"positive_label": "attack", **kwargs}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_flows(tmp_path / "never-opened.csv", "label", **args)
+
+
+def test_sample_flows_rejects_a_negative_n_positive(tmp_path):
+    p = tmp_path / "flows.csv"
+    write_flows(gaussian_clusters(20, 4, seed=1), p)
+    with pytest.raises(ValueError, match=r"^n_positive must be >= 0, got -1$"):
+        sample_flows(p, "label", "attack", n_positive=-1, seed=0)
+    # zero keeps its meaning: the negatives only
+    sub, counts = sample_flows(p, "label", "attack", n_positive=0, seed=0)
+    assert class_counts(sub) == {0: 4} and counts == {0: 4, 1: 20}
+
+
+class CsvLoopRan(Exception):
+    pass
+
+
+@pytest.fixture
+def csv_reader_stops_after_the_header(monkeypatch):
+    real = csv.reader
+
+    def header_only(fh, *args, **kwargs):
+        rows = real(fh, *args, **kwargs)
+        yield next(rows)
+        raise CsvLoopRan
+
+    monkeypatch.setattr(ingest.csv, "reader", header_only)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["default", "reordered"])
+def test_a_plain_file_never_reaches_the_csv_loop(tmp_path, csv_reader_stops_after_the_header, reverse):
+    # a plain reader that always fell back would pass every other test
+    d = gaussian_clusters(2_000, 100, seed=3, n_features=6)
+    p = tmp_path / "flows.csv"
+    write_flows(d, p)
+    assert p.stat().st_size > 4 * ingest._CHUNK_CHARS
+    names = list(d.feature_names)[::-1] if reverse else None
+    back = load_flows(p, "label", "attack", feature_columns=names)
+    cols = slice(None, None, -1 if reverse else 1)
+    assert back.features.tobytes() == np.ascontiguousarray(d.features[:, cols]).tobytes()
+    assert back.labels.tolist() == d.labels.tolist()
+    assert back.feature_names == d.feature_names[cols]
+
+
+def test_a_quoted_cell_reaches_the_csv_loop(tmp_path, csv_reader_stops_after_the_header):
+    p = write_csv(tmp_path / "quoted.csv", 'rate,bytes,label\n1,2,normal\n"3",4,attack\n')
+    with pytest.raises(CsvLoopRan):
+        load_flows(p, "label", "attack")
+
+
+# Cell and label forms the two readers must treat alike: float() accepts
+# underscores, Unicode digits, surrounding whitespace (\x85 and \u2028
+# count, but str.splitlines would also split a row there) and inf/nan; a
+# quoted cell may hold a comma; a lone CR ends a row for csv, though float()
+# would strip it; a label is stripped before it is compared.
+ODD_CELLS = [
+    " 1.5 ", "1_0", "1e5_0", "\u0661\u0662", "\x1c1", "1\x85", "\u20281", "inf", "nan",
+    "-0.0", '"7"', '"1,5"', "\r7", "abc", "",
+]
+ODD_LABELS = [" attack", "normal ", "\tnormal", "benign", "", '"attack"', '"nor,mal"']
+
+
+@st.composite
+def flow_files(draw):
+    """(text, byte order mark, feature_columns, negative_label) of a small
+    flow file: repr floats and two labels, with up to three of the odd cell,
+    label, line-ending, blank-line and row-width forms."""
+    n_feat = draw(st.integers(1, 3))
+    names = [f"f{j}" for j in range(n_feat)]
+    unread = draw(st.booleans())
+    label_at = draw(st.integers(0, n_feat + unread))
+    header = names + ["saddr"] * unread
+    header.insert(label_at, "label")
+    if unread or draw(st.booleans()):
+        # a subset or reorder; a text column is never read
+        order = draw(st.permutations(names))
+        feature_columns = order[: draw(st.integers(1, n_feat))]
+    else:
+        feature_columns = None
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    labels = st.sampled_from(["attack", "normal"])
+    rows = [
+        [draw(labels) if h == "label" else "10.0.0.1" if h == "saddr" else draw(finite) for h in header]
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    endings = [newline] * len(rows)
+    blanks = set()
+    for kind in draw(st.lists(st.sampled_from(["cell", "ending", "blank", "short", "long", "pair"]), max_size=3)):
+        r = draw(st.integers(0, len(rows) - 1))
+        if kind == "cell":
+            c = draw(st.integers(0, len(rows[r]) - 1))
+            rows[r][c] = draw(st.sampled_from(ODD_LABELS if c == label_at else ODD_CELLS))
+        elif kind == "ending":
+            endings[r] = draw(st.sampled_from(["\r\n", "\r"]))
+        elif kind == "blank":
+            blanks.add(r)
+        elif kind in ("short", "pair") and len(rows[r]) > 1:
+            rows[r].pop()
+            if kind == "pair" and r + 1 < len(rows):
+                rows[r + 1].append("1")
+        elif kind == "long":
+            rows[r].append("1")
+    lines = [",".join(header) + newline]
+    for r, (row, end) in enumerate(zip(rows, endings)):
+        lines.append(",".join(row) + end + (newline if r in blanks else ""))
+    if not draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    negative = draw(st.sampled_from([None, "normal"]))
+    return "".join(lines), draw(st.booleans()), feature_columns, negative
+
+
+def _outcome(loader, path, feature_columns, negative):
+    try:
+        d = loader(path, "label", "attack", feature_columns, negative)
+    except Exception as err:  # both readers must raise alike, whatever the type
+        return type(err), str(err)
+    return d.features.shape, d.features.tobytes(), d.labels.tolist(), d.feature_names
+
+
+@settings(max_examples=300, deadline=None)
+@given(flow_file=flow_files(), chunk_chars=st.sampled_from([1, 5, 16, 32 * 1024]))
+# cells np.loadtxt would parse otherwise than float(): underscores, Unicode
+# digits and an \x1c before a digit
+@example(flow_file=("f0,f1,label\n1e5_0,\u0661\u0662,attack\n1_0,2,normal\n", False, None, None), chunk_chars=32 * 1024)
+@example(flow_file=("f0,label\n\x1c1,attack\n", False, None, None), chunk_chars=32 * 1024)
+# a blank line, which np.loadtxt skips and csv reads as a row of no cells
+@example(flow_file=("f0,label\n1,attack\n\n2,normal\n", False, None, None), chunk_chars=32 * 1024)
+# a short and a long row whose commas add up and whose cells, joined,
+# would fall into place; and a lone CR inside a row of the right width
+@example(flow_file=("f0,f1,label\n1,2\nattack,3,4,normal\n", True, ["f1"], None), chunk_chars=32 * 1024)
+@example(flow_file=("f0,f1,label\n1,\r2,attack\n", False, None, None), chunk_chars=32 * 1024)
+# cells that str.splitlines would split, but neither csv nor float() does
+@example(flow_file=("f0,label\n1\x85,attack\n\u20282,normal\n", False, None, None), chunk_chars=32 * 1024)
+# a NUL, and a field over csv's size limit, in a column that is not read
+@example(flow_file=("s,f0,label\na\x00b,1,attack\n", False, ["f0"], None), chunk_chars=32 * 1024)
+@example(flow_file=(f"s,f0,label\n{'x' * 131_073},1,attack\n", False, ["f0"], None), chunk_chars=32 * 1024)
+def test_load_flows_matches_the_csv_loop(tmp_path_factory, flow_file, chunk_chars):
+    text, bom, feature_columns, negative = flow_file
+    p = tmp_path_factory.mktemp("oracle") / "flows.csv"
+    p.write_bytes(text.encode("utf-8-sig" if bom else "utf-8"))
+    expected = _outcome(ref_load_flows, p, feature_columns, negative)
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+        assert _outcome(load_flows, p, feature_columns, negative) == expected
 
 
 def test_round_trip_exact(tmp_path):
