@@ -30,9 +30,26 @@ the values a < b either side of it, or a where that rounds onto b (adjacent
 floats): a <= threshold < b, as in scikit-learn, so X <= threshold sends
 left exactly the nl rows the cut scored.
 
+The fits on one Dataset also share its split memo (``Dataset.split_memo``),
+so that the search trials which regrow a tree on the same CV fold do not
+rescan the nodes they have in common. A node is named by its path from the
+root, one (parent, feature, n_left, side) step per split: a split sends
+``order[f][:n_left]`` left and the root's orders are the Dataset's, so the
+path fixes the node's rows and their orders, and gets an integer id. For
+each (node, feature) it scans, a fit stores the feature's band for
+min_samples_leaf = 1, over every cut, with the nl_lo and nl_hi of the
+band's lowest and highest cut. A later fit takes the record as its own
+result when min_leaf <= nl_lo and nl_hi <= n - min_leaf: its cuts are the
+record's trimmed to that range, which holds the whole band, so its best
+score and its band are the record's and the tree is the same bit for bit.
+Otherwise it scans the feature once and derives both its own band and the
+record from that pass. The memo stops storing, and goes on serving, once it
+holds one record per 32 rows of the Dataset.
+
 Per-node split search across features is embarrassingly parallel; with
-n_threads > 1 features are scored concurrently and reduced in ascending
-feature order, which is guaranteed to match the serial result.
+n_threads > 1 the features a node must scan are scored concurrently and
+reduced in ascending feature order, which is guaranteed to match the serial
+result. Memo reads and writes stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -40,7 +57,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, isqrt
+from math import ceil, inf, isqrt
 
 import numpy as np
 
@@ -60,6 +77,10 @@ __all__ = [
 _TIE_BAND = 1e-12
 # Largest n with n^2 <= 2^53, so that every e of a split search is exact.
 _MAX_ROWS = isqrt(2**53)
+# A Dataset's split memo stops storing at one record per this many rows.
+_ROWS_PER_RECORD = 32
+# Record of a feature without a cut of positive decrease: it serves any min_leaf.
+_NO_CUT = (inf, -inf, None)
 
 
 @dataclass(frozen=True)
@@ -103,47 +124,80 @@ class TreeModel:
     depth: int
 
 
-def _feature_candidates(x, attack, rows, min_leaf, feature):
-    """Band of near-best candidates for one feature, given a node's rows in
-    ascending order of that feature's values x and the float64 0/1 labels.
+def _band(score, nl, e, lo, hi, feature):
+    """Memo record (nl_lo, nl_hi, found) of the cuts lo:hi of one feature:
+    found is (feature_best_score, [(score, feature, nl, e)]), the near-best
+    cuts in ascending order from nl_lo to nl_hi rows left, or None when every
+    one of the cuts has e == 0."""
+    s = score[lo:hi]
+    fbest = float(s.max()) if s.size else 0.0
+    if fbest == 0.0:
+        return _NO_CUT
+    sel = lo + np.flatnonzero(s >= fbest * (1.0 - _TIE_BAND))
+    band = [(float(score[i]), feature, int(nl[i]), int(e[i])) for i in sel]
+    return band[0][2], band[-1][2], (fbest, band)
 
-    Returns (feature_best_score, [(score, feature, nl, e)]), with the cuts in
-    ascending order, or None when every cut of the feature has e == 0.
+
+def _feature_candidates(x, attack, rows, min_leaf, feature):
+    """Scan one feature at a node, given the node's rows in ascending order
+    of the feature's values x and the float64 0/1 labels.
+
+    Returns (record, found): the memo record of every cut (min_leaf = 1),
+    and found, the (feature_best_score, candidates) or None of the cuts that
+    leave min_leaf rows on both sides; both as ``_band`` gives them.
     """
+    rows = rows.astype(np.intp)  # numpy casts int32 indices on every gather; cast once
     xs = x[rows]
     n = xs.shape[0]
     cut = np.flatnonzero(xs[:-1] != xs[1:])  # left part = sorted rows 0..cut
-    # both children keep min_leaf rows: min_leaf - 1 <= cut < n - min_leaf
-    cut = cut[np.searchsorted(cut, min_leaf - 1) : np.searchsorted(cut, n - min_leaf)]
-    if cut.size == 0:
-        return None
     nl = (cut + 1).astype(np.float64)
-
     cum = np.cumsum(np.take(attack, rows))
     # integers of at most n^2 < 2^53: exact in float64
     e = n * np.take(cum, cut) - cum[-1] * nl  # np.take: far faster than cum[cut]
     score = e * e / (nl * (n - nl))
+    record = _band(score, nl, e, 0, cut.size, feature)
+    if _serves(record, min_leaf, n):
+        return record, record[2]
+    # both children keep min_leaf rows: min_leaf - 1 <= cut < n - min_leaf
+    lo, hi = np.searchsorted(cut, (min_leaf - 1, n - min_leaf)).tolist()
+    return record, _band(score, nl, e, lo, hi, feature)[2]
 
-    fbest = float(score.max())
-    if fbest == 0.0:
-        return None
-    sel = np.flatnonzero(score >= fbest * (1.0 - _TIE_BAND))
-    return fbest, [(float(score[i]), feature, int(nl[i]), int(e[i])) for i in sel]
+
+def _serves(record, min_leaf, n):
+    """Whether a feature's memo record is also its result for min_leaf: the
+    whole band leaves min_leaf rows on both sides, so trimming the cuts to
+    that range keeps the best score and the band."""
+    return min_leaf <= record[0] and record[1] <= n - min_leaf
 
 
-def _node_split(columns, attack, order, features, min_leaf, pool):
+def _node_split(columns, attack, order, features, min_leaf, pool, records, node):
     """Best (feature, threshold, n_left, score S) of one node, or None when no
     cut has a positive Gini decrease (2 S / n^2). The split sends
     ``order[f][:n_left]`` left; ``order[f]`` lists the node's rows in
     ascending order of ``columns[f]``, and ``features`` is ascending.
+
+    ``records[node, f]`` is feature f's memo record at this node; a feature
+    whose record does not serve min_leaf is scanned (by ``pool`` when given),
+    and its record is stored while there is room. ``node`` None stores none.
     """
     n = order.shape[1]
-    args = [(columns[f], attack, order[f], min_leaf, f) for f in features]
+    found = {}
+    for f in features:
+        record = records.get((node, f))
+        if record is not None and _serves(record, min_leaf, n):
+            found[f] = record[2]
+    missed = [f for f in features if f not in found]
+    args = [(columns[f], attack, order[f], min_leaf, f) for f in missed]
     if pool is not None:
-        results = list(pool.map(lambda a: _feature_candidates(*a), args))
+        scans = pool.map(lambda a: _feature_candidates(*a), args)
     else:
-        results = [_feature_candidates(*a) for a in args]
-    results = [res for res in results if res is not None]  # ascending feature order
+        scans = (_feature_candidates(*a) for a in args)
+    room = columns.shape[1] // _ROWS_PER_RECORD
+    for f, (record, res) in zip(missed, scans):
+        if node is not None and len(records) < room:
+            records[node, f] = record
+        found[f] = res
+    results = [found[f] for f in features if found[f] is not None]  # ascending feature order
     if not results:
         return None
 
@@ -164,8 +218,9 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
     min_samples_split rows, is pure, or admits no positive-decrease split.
     The per-node feature subset of size ceil(max_features_fraction * N) is
     drawn from one seeded generator in preorder (node, left subtree, right
-    subtree), so the tree is a pure function of (data, hp, seed). Raises
-    ValueError above 94,906,265 training rows, where the split scores stop being exact.
+    subtree), so the tree is a pure function of (data, hp, seed), whatever
+    the dataset's split memo holds. Raises ValueError above 94,906,265
+    training rows, where the split scores stop being exact.
     """
     X, y = train.features, train.labels
     n_rows, n_features = X.shape
@@ -182,17 +237,25 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
     # left subtree follows it and whose right subtree follows that
     preorder: list[Leaf | tuple[int, float]] = []
     depth = 0
-    # (the node's rows in each feature's order, depth); the left child is popped first
-    stack = [(train.column_order, 0)]
+    names, records = train.split_memo
+    room = n_rows // _ROWS_PER_RECORD
+    # (the node's rows in each feature's order, depth, the node's name in the
+    # memo or None); the left child is popped first
+    stack = [(train.column_order, 0, ())]
     try:
         while stack:
-            order, level = stack.pop()
+            order, level, name = stack.pop()
             n = order.shape[1]
             counts = np.bincount(y[order[0]], minlength=2)
             found = None
             if level < hp.max_depth and n >= hp.min_samples_split and counts.max() < n:
+                node = names.get(name)
+                if node is None and name is not None and len(records) < room:
+                    names[name] = node = len(names)
                 subset = np.sort(rng.choice(n_features, size=m_feat, replace=False)).tolist()
-                found = _node_split(columns, attack, order, subset, hp.min_samples_leaf, pool)
+                found = _node_split(
+                    columns, attack, order, subset, hp.min_samples_leaf, pool, records, node
+                )
             if found is not None:
                 f, thr, n_left, _ = found
                 goes_left[order[f][:n_left]] = True
@@ -202,8 +265,9 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
                 left = np.compress(mask, order).reshape(n_features, n_left)
                 right = np.compress(~mask, order).reshape(n_features, n - n_left)
                 preorder.append((f, thr))
-                stack.append((right, level + 1))
-                stack.append((left, level + 1))
+                named = node is not None
+                stack.append((right, level + 1, (node, f, n_left, True) if named else None))
+                stack.append((left, level + 1, (node, f, n_left, False) if named else None))
                 continue
             counts.flags.writeable = False
             preorder.append(Leaf(counts=counts, majority=int(np.argmax(counts))))

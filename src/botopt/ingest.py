@@ -95,9 +95,18 @@ class Dataset:
         counts only where the value changes, so a tree does not depend on
         it, and the default sort is several times faster than kind="stable".
         """
-        order = np.argsort(np.ascontiguousarray(self.features.T), axis=1)
+        order = np.empty(self.features.shape[::-1], dtype=np.int32)  # fit_tree's rows fit int32
+        for j, column in enumerate(self.features.T):
+            order[j] = np.argsort(column)
         order.flags.writeable = False
         return order
+
+    @cached_property
+    def split_memo(self) -> tuple[dict, dict]:
+        """(node ids, split-search records) that the tree fits on this
+        dataset share, empty until the first fit; ``dtree`` fills them (see
+        its docstring)."""
+        return {}, {}
 
     def take(self, indices: np.ndarray) -> "Dataset":
         """Row subset in the given index order; indices must be integers."""
@@ -325,8 +334,10 @@ def _read_plain(fh, n_header, label_pos, feat_pos, positive, negative):
 
 def _raise_bad_cell(path, rownum, rec, feat_names, feat_pos):
     for name, pos in zip(feat_names, feat_pos):
-        cell = rec[pos].strip()
-        if not cell:
+        cell = rec[pos]
+        # strip() also drops \x1c-\x1f, which float() does not: only a blank
+        # cell is missing, and float() is tried on the cell as read
+        if not cell.strip():
             raise ValueError(f"{path}: missing value at row {rownum}, column {name!r}")
         try:
             float(cell)

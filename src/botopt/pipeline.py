@@ -142,8 +142,10 @@ def make_cv_objective(
 
     Each fold's training part is oversampled once up front (it does not
     depend on the candidate hyperparameters), so all trials share it and,
-    through ``Dataset.column_order``, its column sort; validation folds stay
-    untouched so synthetic rows never leak into scoring.
+    through ``Dataset.column_order`` and ``Dataset.split_memo``, its column
+    sort and the split searches of the nodes their trees have in common;
+    validation folds stay untouched so synthetic rows never leak into
+    scoring.
     """
     all_idx = np.arange(train.n_rows)
     prepared: list[tuple[Dataset, Dataset]] = []

@@ -72,8 +72,9 @@ def ref_expected_improvement(mean, std, best, xi=0.0):
 # --- CART splits and trees ---------------------------------------------------
 
 def ref_gini_fraction(counts) -> Fraction:
+    counts = [int(c) for c in counts]  # Python ints: numpy's overflow past 2^63
     total = sum(counts)
-    return 1 - sum(Fraction(int(c), total) ** 2 for c in counts)
+    return 1 - sum(Fraction(c, total) ** 2 for c in counts)
 
 
 def ref_best_split(X, y, min_samples_leaf, features, n_classes):
@@ -332,8 +333,10 @@ def _ref_header_layout(header, label_column, feature_columns, path):
 
 def _ref_raise_bad_cell(path, rownum, rec, feat_names, feat_pos):
     for name, pos in zip(feat_names, feat_pos):
-        cell = rec[pos].strip()
-        if not cell:
+        cell = rec[pos]
+        # strip() also drops \x1c-\x1f, which float() does not: only a blank
+        # cell is missing, and float() is tried on the cell as read
+        if not cell.strip():
             raise ValueError(f"{path}: missing value at row {rownum}, column {name!r}")
         try:
             float(cell)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from botopt import dtree
 from botopt.dtree import (
     HyperParams,
     Leaf,
@@ -59,7 +60,7 @@ def best_split(X, y, hp, feature_subset):
     d = dataset(X, y)
     found = _node_split(
         d.features.T, d.labels.astype(np.float64), d.column_order,
-        sorted(feature_subset), hp.min_samples_leaf, None,
+        sorted(feature_subset), hp.min_samples_leaf, None, {}, None,
     )
     if found is None:
         return None
@@ -285,6 +286,7 @@ def test_fits_share_the_datasets_column_order():
     fit_tree(d, HP_OPEN, seed=0)
     fit_tree(d, HyperParams(max_depth=3, max_features_fraction=0.5), seed=1)
     assert d.column_order is order
+    assert order.dtype == np.int32
     assert not order.flags.writeable
     assert np.array_equal(order, before)
     assert order.shape == (3, 300)
@@ -437,14 +439,17 @@ def test_parallel_split_search_matches_serial():
     d = dataset(rng.random((300, 6)), rng.integers(0, 2, 300))
     hp = HyperParams(max_depth=7, min_samples_split=4, min_samples_leaf=2)
     serial = fit_tree(d, hp, seed=2, n_threads=1)
-    threaded = fit_tree(d, hp, seed=2, n_threads=4)
+    # a fresh copy has an empty split memo, so the pool scores every feature
+    threaded = fit_tree(d.take(np.arange(d.n_rows)), hp, seed=2, n_threads=4)
+    # on d the memo serves the root, and the pool scores the rest
+    warm = fit_tree(d, hp, seed=2, n_threads=4)
 
     def as_tuple(node):
         if isinstance(node, Leaf):
             return ("leaf", tuple(node.counts), node.majority)
         return ("split", node.feature, node.threshold, as_tuple(node.left), as_tuple(node.right))
 
-    assert as_tuple(serial.root) == as_tuple(threaded.root)
+    assert as_tuple(serial.root) == as_tuple(threaded.root) == as_tuple(warm.root)
 
 
 def test_feature_subsetting_is_seeded_and_sized():
@@ -547,3 +552,102 @@ def test_fit_tree_rejects_rows_beyond_exact_scores():
     )
     with pytest.raises(ValueError, match=rf"^{n} training rows exceed the limit of {limit} rows$"):
         fit_tree(train, HP_OPEN, seed=0)
+
+
+# --- the split memo shared by the fits on one Dataset -------------------------
+
+def memo_rows(seed, n=1280):
+    """n rows of three features with 8, 4 and 16 distinct values, and labels
+    that lean on the first: many ties, and records for 40 nodes x features."""
+    rng = np.random.default_rng(seed)
+    X = np.c_[rng.integers(0, 8, n), rng.integers(0, 4, n), rng.integers(0, 16, n)].astype(float)
+    y = (rng.random(n) < np.where(X[:, 0] > 4, 0.8, 0.2)).astype(int)
+    return X, y
+
+
+def fresh_copy(d):
+    return d.take(np.arange(d.n_rows))  # same rows, empty split memo
+
+
+def count_scans(monkeypatch):
+    """A list that gets one entry per feature the split search scans."""
+    scans = []
+    scan = dtree._feature_candidates
+
+    def counted(*args):
+        scans.append(args[-1])
+        return scan(*args)
+
+    monkeypatch.setattr(dtree, "_feature_candidates", counted)
+    return scans
+
+
+memo_fits = st.tuples(
+    st.builds(
+        HyperParams,
+        max_depth=st.integers(1, 8),
+        min_samples_split=st.sampled_from([2, 5, 40]),
+        # the larger ones push many bands out of a node's trimmed range
+        min_samples_leaf=st.sampled_from([1, 2, 5, 30, 150, 500]),
+        max_features_fraction=st.sampled_from([0.34, 0.67, 1.0]),
+    ),
+    st.integers(0, 3),
+)
+
+
+@given(data_seed=st.integers(0, 2), fits=st.lists(memo_fits, min_size=2, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_fits_that_share_a_split_memo_match_fresh_fits(data_seed, fits):
+    X, y = memo_rows(data_seed)
+    d = dataset(X, y)
+    for hp, seed in fits:
+        t = fit_tree(d, hp, seed)
+        assert dump_tree(t) == dump_tree(fit_tree(fresh_copy(d), hp, seed))
+        ref = ref_fit_tree(
+            X, y, hp.max_depth, hp.min_samples_split, hp.min_samples_leaf, 2,
+            max_features_fraction=hp.max_features_fraction, seed=seed,
+        )
+        assert same_tree(t.root, ref)
+    assert 0 < len(d.split_memo[1]) <= d.n_rows // 32
+
+
+@pytest.mark.parametrize("attack_row", [0, 63], ids=["low-edge", "high-edge"])
+def test_a_record_out_of_the_leaf_range_is_scanned_again(monkeypatch, attack_row):
+    # one attack at an end of the feature's order: the best cut of all
+    # peels it off, one row from the edge, where min_samples_leaf=3 bars it
+    X = np.arange(64.0)
+    y = (np.arange(64) == attack_row).astype(int)
+    d = dataset(X, y)
+    scans = count_scans(monkeypatch)
+    wide, narrow = HyperParams(max_depth=1), HyperParams(max_depth=1, min_samples_leaf=3)
+    first = dump_tree(fit_tree(d, wide, seed=0))
+    assert len(scans) == 1 and len(d.split_memo[1]) == 1
+    t = fit_tree(d, narrow, seed=0)
+    assert len(scans) == 2  # the stored band does not serve min_samples_leaf=3
+    assert dump_tree(t) == dump_tree(fit_tree(fresh_copy(d), narrow, seed=0))
+    assert same_tree(t.root, ref_fit_tree(X.reshape(-1, 1), y, 1, 2, 3, 2))
+    assert t.root.threshold == (2.5 if attack_row == 0 else 60.5)
+    # the rescan kept the untrimmed record, which still serves min_samples_leaf=1
+    before = len(scans)
+    assert dump_tree(fit_tree(d, wide, seed=0)) == first
+    assert len(scans) == before
+
+
+def test_the_split_memo_stops_storing_at_its_ceiling(monkeypatch):
+    X, y = memo_rows(5, n=320)  # room for 10 records
+    d = dataset(X, y)
+    names, records = d.split_memo
+    hp = HyperParams(max_depth=6)
+    t = fit_tree(d, hp, seed=0)
+    assert len(records) == 10
+    held = dict(records)
+    for seed, fraction in [(1, 0.34), (2, 0.67), (0, 1.0)]:
+        other = HyperParams(max_depth=8, min_samples_leaf=2, max_features_fraction=fraction)
+        assert dump_tree(fit_tree(d, other, seed)) == dump_tree(fit_tree(fresh_copy(d), other, seed))
+    assert records == held and len(names) <= len(records)
+    # a full memo still serves: the refit scans fewer features than a fresh fit
+    scans = count_scans(monkeypatch)
+    assert dump_tree(fit_tree(d, hp, seed=0)) == dump_tree(t)
+    served = len(scans)
+    assert dump_tree(fit_tree(fresh_copy(d), hp, seed=0)) == dump_tree(t)
+    assert served < len(scans) - served

@@ -385,6 +385,8 @@ def _sample_none(path):
     [
         ("7,8,bogus", "unknown label 'bogus'", "label"),
         ("7,abc,attack", "non-numeric value 'abc'", "bytes"),
+        # str.strip() drops \x1c, float() does not
+        ("\x1c7,8,attack", "non-numeric value '\\x1c7'", "rate"),
         ("7,nan,normal", "non-finite value nan", "bytes"),
         ("-inf,8,normal", "non-finite value -inf", "rate"),
         ("7,,normal", "missing value", "bytes"),
