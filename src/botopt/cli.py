@@ -94,6 +94,9 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             settings = json.load(fh)
+        unknown = sorted(set(settings).difference(overrides))
+        if unknown:
+            raise SystemExit(f"error: {args.config}: unknown config field(s) {unknown}")
     settings.update({k: v for k, v in overrides.items() if v is not None})
     settings.setdefault("seed", 0)
     cfg = PipelineConfig.from_dict(settings)

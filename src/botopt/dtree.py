@@ -32,19 +32,19 @@ left exactly the nl rows the cut scored.
 
 The fits on one Dataset also share its split memo (``Dataset.split_memo``),
 so that the search trials which regrow a tree on the same CV fold do not
-rescan the nodes they have in common. A node is named by its path from the
-root, one (parent, feature, n_left, side) step per split: a split sends
-``order[f][:n_left]`` left and the root's orders are the Dataset's, so the
-path fixes the node's rows and their orders, and gets an integer id. For
-each (node, feature) it scans, a fit stores the feature's band for
-min_samples_leaf = 1, over every cut, with the nl_lo and nl_hi of the
-band's lowest and highest cut. A later fit takes the record as its own
-result when min_leaf <= nl_lo and nl_hi <= n - min_leaf: its cuts are the
-record's trimmed to that range, which holds the whole band, so its best
-score and its band are the record's and the tree is the same bit for bit.
-Otherwise it scans the feature once and derives both its own band and the
-record from that pass. The memo stops storing, and goes on serving, once it
-holds one record per 32 rows of the Dataset.
+rescan the nodes they have in common. The memo is one dict keyed by
+(path, feature). A node's path is () at the root and (parent's path,
+feature, n_left, side) below it: a split sends ``order[f][:n_left]`` left
+and the root's orders are the Dataset's, so the path fixes the node's rows
+and their orders. For each (node, feature) it scans, a fit stores the
+feature's band for min_samples_leaf = 1, over every cut, with the nl_lo
+and nl_hi of the band's lowest and highest cut. A later fit takes the
+record as its own result when min_leaf <= nl_lo and nl_hi <= n - min_leaf:
+its cuts are the record's trimmed to that range, which holds the whole
+band, so its best score and its band are the record's and the tree is the
+same bit for bit. Otherwise it scans the feature once and derives both its
+own band and the record from that pass. The memo stops storing, and goes on
+serving, once it holds one record per 32 rows of the Dataset.
 
 Per-node split search across features is embarrassingly parallel; with
 n_threads > 1 the features a node must scan are scored concurrently and
@@ -170,20 +170,20 @@ def _serves(record, min_leaf, n):
     return min_leaf <= record[0] and record[1] <= n - min_leaf
 
 
-def _node_split(columns, attack, order, features, min_leaf, pool, records, node):
+def _node_split(columns, attack, order, features, min_leaf, pool, memo, path):
     """Best (feature, threshold, n_left, score S) of one node, or None when no
     cut has a positive Gini decrease (2 S / n^2). The split sends
     ``order[f][:n_left]`` left; ``order[f]`` lists the node's rows in
     ascending order of ``columns[f]``, and ``features`` is ascending.
 
-    ``records[node, f]`` is feature f's memo record at this node; a feature
-    whose record does not serve min_leaf is scanned (by ``pool`` when given),
-    and its record is stored while there is room. ``node`` None stores none.
+    ``memo[path, f]`` is feature f's record at this node; a feature whose
+    record does not serve min_leaf is scanned (by ``pool`` when given), and
+    its record is stored while the memo holds fewer than one per 32 rows.
     """
     n = order.shape[1]
     found = {}
     for f in features:
-        record = records.get((node, f))
+        record = memo.get((path, f))
         if record is not None and _serves(record, min_leaf, n):
             found[f] = record[2]
     missed = [f for f in features if f not in found]
@@ -194,8 +194,8 @@ def _node_split(columns, attack, order, features, min_leaf, pool, records, node)
         scans = (_feature_candidates(*a) for a in args)
     room = columns.shape[1] // _ROWS_PER_RECORD
     for f, (record, res) in zip(missed, scans):
-        if node is not None and len(records) < room:
-            records[node, f] = record
+        if len(memo) < room:
+            memo[path, f] = record
         found[f] = res
     results = [found[f] for f in features if found[f] is not None]  # ascending feature order
     if not results:
@@ -237,24 +237,20 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
     # left subtree follows it and whose right subtree follows that
     preorder: list[Leaf | tuple[int, float]] = []
     depth = 0
-    names, records = train.split_memo
-    room = n_rows // _ROWS_PER_RECORD
-    # (the node's rows in each feature's order, depth, the node's name in the
-    # memo or None); the left child is popped first
+    memo = train.split_memo
+    # (the node's rows in each feature's order, depth, the node's path in the
+    # memo); the left child is popped first
     stack = [(train.column_order, 0, ())]
     try:
         while stack:
-            order, level, name = stack.pop()
+            order, level, path = stack.pop()
             n = order.shape[1]
             counts = np.bincount(y[order[0]], minlength=2)
             found = None
             if level < hp.max_depth and n >= hp.min_samples_split and counts.max() < n:
-                node = names.get(name)
-                if node is None and name is not None and len(records) < room:
-                    names[name] = node = len(names)
                 subset = np.sort(rng.choice(n_features, size=m_feat, replace=False)).tolist()
                 found = _node_split(
-                    columns, attack, order, subset, hp.min_samples_leaf, pool, records, node
+                    columns, attack, order, subset, hp.min_samples_leaf, pool, memo, path
                 )
             if found is not None:
                 f, thr, n_left, _ = found
@@ -265,9 +261,8 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
                 left = np.compress(mask, order).reshape(n_features, n_left)
                 right = np.compress(~mask, order).reshape(n_features, n - n_left)
                 preorder.append((f, thr))
-                named = node is not None
-                stack.append((right, level + 1, (node, f, n_left, True) if named else None))
-                stack.append((left, level + 1, (node, f, n_left, False) if named else None))
+                stack.append((right, level + 1, (path, f, n_left, True)))
+                stack.append((left, level + 1, (path, f, n_left, False)))
                 continue
             counts.flags.writeable = False
             preorder.append(Leaf(counts=counts, majority=int(np.argmax(counts))))

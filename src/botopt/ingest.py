@@ -70,7 +70,7 @@ class Dataset:
         if not finite.all():
             i, j = np.argwhere(~finite)[0]
             raise ValueError(
-                f"non-finite feature value {float(feats[i, j])} at row {i + 1}, column {names[j]!r}"
+                f"non-finite value {float(feats[i, j])} at row {i + 1}, column {names[j]!r}"
             )
         feats.flags.writeable = False
         labels.flags.writeable = False
@@ -102,11 +102,11 @@ class Dataset:
         return order
 
     @cached_property
-    def split_memo(self) -> tuple[dict, dict]:
-        """(node ids, split-search records) that the tree fits on this
-        dataset share, empty until the first fit; ``dtree`` fills them (see
-        its docstring)."""
-        return {}, {}
+    def split_memo(self) -> dict:
+        """Split-search records that the tree fits on this dataset share,
+        keyed by (node path, feature), empty until the first fit; ``dtree``
+        fills it (see its docstring)."""
+        return {}
 
     def take(self, indices: np.ndarray) -> "Dataset":
         """Row subset in the given index order; indices must be integers."""
@@ -159,11 +159,9 @@ def load_flows(
     the file back to that loop from the first row: it reads every quoted
     or irregular file and raises every error about a row.
     """
-    for name, label in (("positive_label", positive_label), ("negative_label", negative_label)):
-        if label is not None and (not label or label != label.strip()):
-            raise ValueError(f"{name} {label!r} is empty or has surrounding whitespace")
-    if negative_label == positive_label:
-        raise ValueError(f"negative_label {negative_label!r} equals positive_label")
+    _check_labels(positive_label, negative_label)
+    if isinstance(feature_columns, str):
+        raise ValueError(f"feature_columns must be a list of column names, got {feature_columns!r}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -214,13 +212,20 @@ def load_flows(
     if not labels:
         raise ValueError(f"{path}: no data rows")
     features = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(feat_pos))
-    if not np.isfinite(features).all():
-        i, j = np.argwhere(~np.isfinite(features))[0]
-        raise ValueError(
-            f"{path}: non-finite value {float(features[i, j])} at row {i + 1}, "
-            f"column {feat_names[j]!r}"
-        )
-    return Dataset(features, np.frombuffer(labels, dtype=np.uint8), tuple(feat_names))
+    try:
+        return Dataset(features, np.frombuffer(labels, dtype=np.uint8), tuple(feat_names))
+    except ValueError as exc:  # a non-finite cell: Dataset names its row and column
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _check_labels(positive_label, negative_label):
+    """Reject label arguments that a label cell, which is read stripped,
+    could never equal, or that would not tell the classes apart."""
+    for name, label in (("positive_label", positive_label), ("negative_label", negative_label)):
+        if label is not None and (not label or label != label.strip()):
+            raise ValueError(f"{name} {label!r} is empty or has surrounding whitespace")
+    if negative_label == positive_label:
+        raise ValueError(f"negative_label {negative_label!r} equals positive_label")
 
 
 def sample_flows(
@@ -357,11 +362,20 @@ def write_flows(
     """Write a Dataset back to comma-delimited text.
 
     Floats are written with ``repr``, i.e. shortest round-trip precision, so
-    ``load_flows(write_flows(d))`` reproduces every value exactly.
+    ``load_flows(write_flows(d))`` reproduces every value exactly. Labels
+    and column names that ``load_flows`` would misread or reject (equal
+    labels, a header name that repeats once stripped) are rejected before
+    the file is opened.
     """
+    _check_labels(positive_label, negative_label)
+    header = [*d.feature_names, label_column]
+    stripped = [h.strip() for h in header]
+    for name in stripped:
+        if stripped.count(name) > 1:
+            raise ValueError(f"column {name!r} would be named twice in the header")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(d.feature_names) + [label_column])
+        writer.writerow(header)
         for row, lab in zip(d.features, d.labels):
             writer.writerow(
                 [repr(float(v)) for v in row]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -157,6 +158,15 @@ def test_space_flag_overrides_search_space(flows_csv, tmp_path, capsys):
 def test_missing_data_is_a_clean_error():
     with pytest.raises(SystemExit, match="no data file"):
         main(["tune", "--seed", "1"])
+
+
+def test_unknown_config_field_is_a_clean_error(flows_csv, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"data_path": flows_csv, "n_thread": 2, "budjet": 5}))
+    fields = re.escape("unknown config field(s) ['budjet', 'n_thread']")
+    expected = rf"^error: {re.escape(str(cfg_path))}: {fields}$"
+    with pytest.raises(SystemExit, match=expected):
+        main(["eval", "--config", str(cfg_path)])
 
 
 def test_cli_run_fixes_glibc_malloc_thresholds(flows_csv, monkeypatch, capsys):

@@ -60,7 +60,7 @@ def best_split(X, y, hp, feature_subset):
     d = dataset(X, y)
     found = _node_split(
         d.features.T, d.labels.astype(np.float64), d.column_order,
-        sorted(feature_subset), hp.min_samples_leaf, None, {}, None,
+        sorted(feature_subset), hp.min_samples_leaf, None, {}, (),
     )
     if found is None:
         return None
@@ -608,7 +608,7 @@ def test_fits_that_share_a_split_memo_match_fresh_fits(data_seed, fits):
             max_features_fraction=hp.max_features_fraction, seed=seed,
         )
         assert same_tree(t.root, ref)
-    assert 0 < len(d.split_memo[1]) <= d.n_rows // 32
+    assert 0 < len(d.split_memo) <= d.n_rows // 32
 
 
 @pytest.mark.parametrize("attack_row", [0, 63], ids=["low-edge", "high-edge"])
@@ -621,7 +621,7 @@ def test_a_record_out_of_the_leaf_range_is_scanned_again(monkeypatch, attack_row
     scans = count_scans(monkeypatch)
     wide, narrow = HyperParams(max_depth=1), HyperParams(max_depth=1, min_samples_leaf=3)
     first = dump_tree(fit_tree(d, wide, seed=0))
-    assert len(scans) == 1 and len(d.split_memo[1]) == 1
+    assert len(scans) == 1 and len(d.split_memo) == 1
     t = fit_tree(d, narrow, seed=0)
     assert len(scans) == 2  # the stored band does not serve min_samples_leaf=3
     assert dump_tree(t) == dump_tree(fit_tree(fresh_copy(d), narrow, seed=0))
@@ -636,7 +636,7 @@ def test_a_record_out_of_the_leaf_range_is_scanned_again(monkeypatch, attack_row
 def test_the_split_memo_stops_storing_at_its_ceiling(monkeypatch):
     X, y = memo_rows(5, n=320)  # room for 10 records
     d = dataset(X, y)
-    names, records = d.split_memo
+    records = d.split_memo
     hp = HyperParams(max_depth=6)
     t = fit_tree(d, hp, seed=0)
     assert len(records) == 10
@@ -644,7 +644,7 @@ def test_the_split_memo_stops_storing_at_its_ceiling(monkeypatch):
     for seed, fraction in [(1, 0.34), (2, 0.67), (0, 1.0)]:
         other = HyperParams(max_depth=8, min_samples_leaf=2, max_features_fraction=fraction)
         assert dump_tree(fit_tree(d, other, seed)) == dump_tree(fit_tree(fresh_copy(d), other, seed))
-    assert records == held and len(names) <= len(records)
+    assert records == held
     # a full memo still serves: the refit scans fewer features than a fresh fit
     scans = count_scans(monkeypatch)
     assert dump_tree(fit_tree(d, hp, seed=0)) == dump_tree(t)

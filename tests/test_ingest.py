@@ -161,6 +161,41 @@ def test_load_flows_rejects_a_label_argument_no_cell_can_match(tmp_path, kwargs,
         load_flows(tmp_path / "never-opened.csv", "label", **args)
 
 
+@pytest.mark.parametrize(
+    "names, kwargs, message",
+    [
+        (("a", "b"), {"positive_label": "a", "negative_label": "a"}, "negative_label 'a' equals"),
+        (("a", "b"), {"negative_label": " normal"}, "negative_label ' normal' is empty or has"),
+        (("a", "b"), {"positive_label": ""}, "positive_label '' is empty"),
+        (("a", "label"), {}, "column 'label' would be named twice in the header"),
+        (("a", " label"), {}, "column 'label' would be named twice in the header"),
+        (("y", "b"), {"label_column": "y"}, "column 'y' would be named twice in the header"),
+        (("a", "b", "a"), {}, "column 'a' would be named twice in the header"),
+    ],
+    ids=["equal-labels", "padded-label", "empty-label", "label-column", "padded-label-column",
+         "custom-label-column", "repeated-feature"],
+)
+def test_write_flows_rejects_what_load_flows_would_misread(tmp_path, names, kwargs, message):
+    # equal labels read back as all attack; a repeated header name is
+    # rejected by load_flows: both fail before the file is created
+    d = Dataset(np.arange(2.0 * len(names)).reshape(2, -1), np.array([0, 1]), names)
+    p = tmp_path / "flows.csv"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_flows(d, p, **kwargs)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("columns", ["ab", "a,b", ""])
+def test_load_flows_rejects_a_string_of_feature_columns(tmp_path, columns):
+    # a str is a sequence of one-character names: "ab" would load a and b
+    p = write_csv(tmp_path / "flows.csv", "a,b,c,label\n1,2,3,normal\n4,5,6,attack\n")
+    expected = rf"^feature_columns must be a list of column names, got {re.escape(repr(columns))}$"
+    with pytest.raises(ValueError, match=expected):
+        load_flows(p, "label", "attack", feature_columns=columns)
+    with pytest.raises(ValueError, match="feature_columns must be a list"):
+        sample_flows(p, "label", "attack", n_positive=1, seed=0, feature_columns=columns)
+
+
 def test_sample_flows_rejects_a_negative_n_positive(tmp_path):
     p = tmp_path / "flows.csv"
     write_flows(gaussian_clusters(20, 4, seed=1), p)
@@ -424,7 +459,7 @@ def test_dataset_rejects_non_finite():
 def test_dataset_names_value_row_and_column_of_a_non_finite_cell():
     # worded like the loaders: 1-based row and the column's name
     feats = np.array([[1.0, 2.0], [3.0, np.nan], [np.inf, 4.0]])
-    with pytest.raises(ValueError, match=r"^non-finite feature value nan at row 2, column 'b'$"):
+    with pytest.raises(ValueError, match=r"^non-finite value nan at row 2, column 'b'$"):
         Dataset(feats, np.array([0, 1, 0]), ("a", "b"))
     # a wrong number of names is reported before any cell
     with pytest.raises(ValueError, match="1 feature names for 2 feature columns"):
