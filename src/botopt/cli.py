@@ -3,7 +3,8 @@
 Verbs: run (full pipeline), tune (search only, emits the trial trace),
 eval (fit and score one hyperparameter setting), pca (projection export).
 Settings come from an optional JSON config file; every field can be
-overridden by a flag.
+overridden by a flag. Bad input (a missing or malformed file, a setting out
+of range) exits with "error: <message>" on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .dtree import HyperParams, fit_tree
 from .metrics import metrics_to_text, pca2, write_pca_csv
 from .pipeline import (
     PipelineConfig,
+    PipelineError,
     load_dataset,
     prepare,
     report_to_text,
@@ -182,7 +184,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     _fix_malloc_thresholds()
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError, PipelineError) as err:
+        raise SystemExit(f"error: {err}") from err
 
 
 if __name__ == "__main__":

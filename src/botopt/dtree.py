@@ -44,7 +44,9 @@ its cuts are the record's trimmed to that range, which holds the whole
 band, so its best score and its band are the record's and the tree is the
 same bit for bit. Otherwise it scans the feature once and derives both its
 own band and the record from that pass. The memo stops storing, and goes on
-serving, once it holds one record per 32 rows of the Dataset.
+serving, once it holds one record per 32 rows of the Dataset. Hashing a
+path costs its depth and recurses in C, so nodes at depth 64 or more
+neither read nor write the memo, and their paths are None.
 
 Per-node split search across features is embarrassingly parallel; with
 n_threads > 1 the features a node must scan are scored concurrently and
@@ -81,6 +83,8 @@ _MAX_ROWS = isqrt(2**53)
 _ROWS_PER_RECORD = 32
 # Record of a feature without a cut of positive decrease: it serves any min_leaf.
 _NO_CUT = (inf, -inf, None)
+# Nodes this deep or deeper have no path and leave the split memo alone.
+_MEMO_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -179,8 +183,11 @@ def _node_split(columns, attack, order, features, min_leaf, pool, memo, path):
     ``memo[path, f]`` is feature f's record at this node; a feature whose
     record does not serve min_leaf is scanned (by ``pool`` when given), and
     its record is stored while the memo holds fewer than one per 32 rows.
+    A node whose path is None scans every feature and leaves the memo alone.
     """
     n = order.shape[1]
+    if path is None:
+        memo = {}
     found = {}
     for f in features:
         record = memo.get((path, f))
@@ -239,7 +246,7 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
     depth = 0
     memo = train.split_memo
     # (the node's rows in each feature's order, depth, the node's path in the
-    # memo); the left child is popped first
+    # memo, None from depth _MEMO_DEPTH on); the left child is popped first
     stack = [(train.column_order, 0, ())]
     try:
         while stack:
@@ -261,8 +268,9 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
                 left = np.compress(mask, order).reshape(n_features, n_left)
                 right = np.compress(~mask, order).reshape(n_features, n - n_left)
                 preorder.append((f, thr))
-                stack.append((right, level + 1, (path, f, n_left, True)))
-                stack.append((left, level + 1, (path, f, n_left, False)))
+                named = level + 1 < _MEMO_DEPTH
+                stack.append((right, level + 1, (path, f, n_left, True) if named else None))
+                stack.append((left, level + 1, (path, f, n_left, False) if named else None))
                 continue
             counts.flags.writeable = False
             preorder.append(Leaf(counts=counts, majority=int(np.argmax(counts))))

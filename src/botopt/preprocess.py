@@ -20,7 +20,7 @@ from math import ceil
 
 import numpy as np
 
-from .ingest import Dataset, class_counts
+from .ingest import Dataset
 
 __all__ = [
     "Scaler",
@@ -93,17 +93,6 @@ def scale_dataset(s: Scaler, d: Dataset) -> Dataset:
     return Dataset(apply_minmax(s, d.features), d.labels, d.feature_names)
 
 
-def _minority_class(counts: dict[int, int]) -> tuple[int, int, int]:
-    """(minority id, minority count, majority count); ties go to the lower id."""
-    if len(counts) < 2:
-        present = next(iter(counts)) if counts else None
-        raise ValueError(f"need two classes to oversample, found only {present}")
-    by_count = sorted(counts.items(), key=lambda kv: (kv[1], kv[0]))
-    minority, n_min = by_count[0]
-    n_maj = by_count[-1][1]
-    return minority, n_min, n_maj
-
-
 def _minority_neighbors(pts: np.ndarray, k: int) -> np.ndarray:
     """k nearest neighbors of each point, never the point itself, ordered by
     (d, row index) where d = np.sum((pts[i] - pts[j]) ** 2, axis=-1) is the
@@ -157,13 +146,18 @@ def smote_audit(
     rows, coefficients). Output row M+i interpolates between source rows
     seed_rows[i] and neighbor_rows[i] with coefficient lams[i].
 
+    The minority class is 1 (attack) when attacks are fewer than normals,
+    else 0; a dataset with only one of the labels raises ValueError.
     The minority count is raised to ceil(target_ratio * majority count).
     If that target is already met the input dataset is returned unchanged
     with empty provenance arrays. Draw protocol (fixed by sample index):
     seed-point choices, then neighbor ranks, then interpolation coefficients.
     """
-    counts = class_counts(d)
-    minority, n_min, n_maj = _minority_class(counts)
+    n_attack = int(np.count_nonzero(d.labels))
+    n_min, n_maj = sorted((n_attack, d.n_rows - n_attack))
+    if n_min == 0:
+        raise ValueError(f"need two classes to oversample, found only {int(n_attack > 0)}")
+    minority = int(n_attack < n_maj)  # a tie goes to 0
     target = ceil(cfg.target_ratio * n_maj)
     n_syn = target - n_min
     if n_syn <= 0:

@@ -169,6 +169,27 @@ def test_unknown_config_field_is_a_clean_error(flows_csv, tmp_path):
         main(["eval", "--config", str(cfg_path)])
 
 
+@pytest.mark.parametrize(
+    "verb, data, flags, message",
+    [
+        ("eval", "bad.csv", [], r"bad\.csv: non-numeric value 'x' at row 2, column 'f1'$"),
+        ("eval", "missing.csv", [], r"No such file or directory: '.*missing\.csv'$"),
+        ("eval", "flows", ["--max-depth", "0"], r"max_depth must be >= 1, got 0$"),
+        ("run", "bad.csv", [], r"stage 'load' failed: .*bad\.csv: .* at row 2, column 'f1'$"),
+    ],
+    ids=["bad-cell", "missing-file", "bad-setting", "run-bad-cell"],
+)
+def test_input_errors_exit_with_one_error_line(flows_csv, tmp_path, verb, data, flags, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("f0,f1,label\n1,2,attack\n3,x,normal\n5,6,attack\n")
+    path = flows_csv if data == "flows" else str(tmp_path / data)
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--data", path, "--seed", "0", *flags])
+    text = str(exc.value.code)
+    assert text.startswith("error: ") and "\n" not in text
+    assert re.search(message, text)
+
+
 def test_cli_run_fixes_glibc_malloc_thresholds(flows_csv, monkeypatch, capsys):
     """Every command sets glibc's mmap and trim thresholds, once each, before
     it runs; elsewhere the setting is skipped without error."""

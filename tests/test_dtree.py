@@ -651,3 +651,33 @@ def test_the_split_memo_stops_storing_at_its_ceiling(monkeypatch):
     served = len(scans)
     assert dump_tree(fit_tree(fresh_copy(d), hp, seed=0)) == dump_tree(t)
     assert served < len(scans) - served
+
+
+def test_deep_nodes_leave_the_split_memo_alone():
+    # hashing a node's path costs its depth and recurses in C, so nodes from
+    # depth 64 on neither read nor write the memo; the chain of one-row peels
+    # of test_fit_tree_needs_no_recursion_headroom reaches depth n - 1
+    n = 300
+    d = dataset(np.arange(n, dtype=float), np.arange(n) % 2)
+    depths = []
+
+    def nesting(path):
+        level = 0
+        while path:
+            path, level = path[0], level + 1
+        return level
+
+    class Recording(dict):
+        def get(self, key, default=None):
+            depths.append(nesting(key[0]))
+            return super().get(key, default)
+
+        def __setitem__(self, key, value):
+            depths.append(nesting(key[0]))
+            super().__setitem__(key, value)
+
+    d.__dict__["split_memo"] = Recording()
+    hp = HyperParams(max_depth=n)
+    t = fit_tree(d, hp, seed=0)
+    assert t.depth == n - 1 and max(depths) == 63
+    assert dump_tree(t) == dump_tree(fit_tree(fresh_copy(d), hp, seed=0))

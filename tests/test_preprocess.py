@@ -194,6 +194,25 @@ def test_empty_minority_errors():
         smote_audit(d, SmoteConfig(k=1, target_ratio=1.0, seed=0))
 
 
+def test_attacks_as_the_minority_get_the_synthetic_rows():
+    rng = np.random.default_rng(3)
+    d = dataset(rng.random((25, 2)), [0] * 18 + [1] * 7)
+    ratio = 0.9
+    out, seeds, neighbors, _ = smote_audit(d, SmoteConfig(k=3, target_ratio=ratio, seed=5))
+    n_syn = int(np.ceil(ratio * 18)) - 7
+    assert out.n_rows - d.n_rows == len(seeds) == n_syn == 10
+    assert (out.labels[d.n_rows:] == 1).all()
+    assert (d.labels[seeds] == 1).all() and (d.labels[neighbors] == 1).all()
+    np.testing.assert_array_equal(out.features[: d.n_rows], d.features)
+    np.testing.assert_array_equal(out.labels[: d.n_rows], d.labels)
+
+
+def test_all_normal_input_errors():
+    d = dataset([[0.0], [1.0], [2.0]], [0, 0, 0])
+    with pytest.raises(ValueError, match="need two classes to oversample, found only 0"):
+        smote_audit(d, SmoteConfig(k=1, target_ratio=1.0, seed=0))
+
+
 def test_target_ratio_validation():
     with pytest.raises(ValueError):
         SmoteConfig(k=1, target_ratio=1.5, seed=0)
