@@ -10,7 +10,6 @@ of range) exits with "error: <message>" on stderr and no traceback.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import sys
 from dataclasses import fields
@@ -29,33 +28,6 @@ from .pipeline import (
     search,
 )
 from .preprocess import apply_minmax, fit_minmax, smote
-
-
-# mallopt parameter numbers (glibc malloc.h) and the values a CLI run sets
-_MALLOPT = ((-3, 1 << 20), (-1, 8 << 20))  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
-
-
-def _fix_malloc_thresholds() -> None:
-    """Replace glibc's dynamic malloc thresholds with fixed ones.
-
-    glibc raises its mmap threshold to the size of each mapped buffer it
-    frees, so later buffers of a few MB, such as a tree fit's row orders
-    and class-count sums, are carved from the heap wherever earlier frees
-    left room. That layout differs between runs with hash and address
-    randomisation, and the peak RSS of the same `botopt eval` moved in
-    steps of about 1.2 MB over a 3 MB range. Fixed, every buffer of 1 MiB
-    or more is mapped on its own and unmapped when freed, and up to 8 MiB
-    of free heap is kept for the next tree node rather than returned and
-    faulted in again. A no-op where malloc is not glibc's.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    for param, value in _MALLOPT:
-        mallopt(param, value)
 
 
 def _add_common(p: argparse.ArgumentParser, seed_required: bool) -> None:
@@ -183,7 +155,6 @@ def main(argv=None) -> int:
     p_pca.set_defaults(fn=_cmd_pca)
 
     args = parser.parse_args(argv)
-    _fix_malloc_thresholds()
     try:
         return args.fn(args)
     except (OSError, ValueError, PipelineError) as err:

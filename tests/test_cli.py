@@ -188,34 +188,3 @@ def test_input_errors_exit_with_one_error_line(flows_csv, tmp_path, verb, data, 
     text = str(exc.value.code)
     assert text.startswith("error: ") and "\n" not in text
     assert re.search(message, text)
-
-
-def test_cli_run_fixes_glibc_malloc_thresholds(flows_csv, monkeypatch, capsys):
-    """Every command sets glibc's mmap and trim thresholds, once each, before
-    it runs; elsewhere the setting is skipped without error."""
-    import botopt.cli as cli
-
-    calls = []
-
-    class FakeLibc:
-        def mallopt(self, param, value):
-            calls.append((param, value))
-            return 1
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: FakeLibc())
-    monkeypatch.setattr(cli.sys, "platform", "linux")
-    assert main(["eval", "--data", flows_csv, "--seed", "3", "--max-depth", "2"]) == 0
-    assert calls == [(-3, 1 << 20), (-1, 8 << 20)]
-
-    calls.clear()
-    monkeypatch.setattr(cli.sys, "platform", "darwin")
-    assert main(["eval", "--data", flows_csv, "--seed", "3", "--max-depth", "2"]) == 0
-    assert calls == []
-
-    class NoMallopt:
-        pass
-
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: NoMallopt())
-    monkeypatch.setattr(cli.sys, "platform", "linux")
-    assert main(["eval", "--data", flows_csv, "--seed", "3", "--max-depth", "2"]) == 0
-    capsys.readouterr()
