@@ -57,23 +57,35 @@ def _add_common(p: argparse.ArgumentParser, seed_required: bool) -> None:
     )
 
 
+def _parse_json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{source}: {err}") from err
+
+
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     # every PipelineConfig field has the flag of the same name
     overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
     overrides["feature_columns"] = (
         [c.strip() for c in args.feature_columns.split(",")] if args.feature_columns else None
     )
-    overrides["space"] = json.loads(args.space) if args.space else None
+    overrides["space"] = _parse_json(args.space, "--space") if args.space else None
     settings = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            settings = json.load(fh)
+            settings = _parse_json(fh.read(), args.config)
+        if not isinstance(settings, dict):
+            raise SystemExit(f"error: {args.config}: the config must hold a JSON object")
         unknown = sorted(set(settings).difference(overrides))
         if unknown:
             raise SystemExit(f"error: {args.config}: unknown config field(s) {unknown}")
     settings.update({k: v for k, v in overrides.items() if v is not None})
     settings.setdefault("seed", 0)
-    cfg = PipelineConfig.from_dict(settings)
+    try:
+        cfg = PipelineConfig.from_dict(settings)
+    except ValueError as err:  # from the search space, the only field from_dict checks
+        raise ValueError(f"{'--space' if args.space else args.config}: {err}") from err
     if cfg.data_path is None:
         raise SystemExit("error: no data file (pass --data or set data_path in the config)")
     return cfg

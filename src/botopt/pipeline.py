@@ -59,6 +59,9 @@ class PipelineError(RuntimeError):
     """Raised when a pipeline stage fails; names the stage."""
 
 
+_DIM_KEYS = ("name", "kind", "lower", "upper")
+
+
 @dataclass
 class PipelineConfig:
     seed: int
@@ -81,9 +84,14 @@ class PipelineConfig:
     def from_dict(cls, d: dict) -> "PipelineConfig":
         d = dict(d)
         if "space" in d and not isinstance(d["space"], SearchSpace):
-            d["space"] = SearchSpace(
-                dims=tuple(Dim(s["name"], s["kind"], s["lower"], s["upper"]) for s in d["space"])
-            )
+            # the JSON form: a list of objects with the keys in _DIM_KEYS
+            if not isinstance(d["space"], (list, tuple)):
+                raise ValueError(f"space must be a list of objects, got {d['space']!r}")
+            for s in d["space"]:
+                missing = [k for k in _DIM_KEYS if k not in s] if isinstance(s, dict) else _DIM_KEYS
+                if missing:
+                    raise ValueError(f"space entry {s!r} has no {', '.join(map(repr, missing))}")
+            d["space"] = SearchSpace(dims=tuple(Dim(*(s[k] for k in _DIM_KEYS)) for s in d["space"]))
         return cls(**d)
 
 

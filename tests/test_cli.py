@@ -188,3 +188,36 @@ def test_input_errors_exit_with_one_error_line(flows_csv, tmp_path, verb, data, 
     text = str(exc.value.code)
     assert text.startswith("error: ") and "\n" not in text
     assert re.search(message, text)
+
+
+NO_KIND = '[{"name": "max_depth", "lower": 1, "upper": 5}]'
+
+
+@pytest.mark.parametrize(
+    "config, space, message",
+    [
+        ("{bad", None, r"{cfg}: Expecting property name"),
+        (None, "{bad", r"--space: Expecting property name"),
+        ('{"space": ' + NO_KIND + "}", None, r"{cfg}: space entry .*'max_depth'.* has no 'kind'$"),
+        (None, NO_KIND, r"--space: space entry .*'max_depth'.* has no 'kind'$"),
+        ("[1, 2]", None, r"{cfg}: the config must hold a JSON object$"),
+        (None, '{"name": "max_depth"}', r"--space: space must be a list of objects, got \{"),
+    ],
+    ids=[
+        "bad-json-config", "bad-json-space", "no-kind-config", "no-kind-space", "list-config",
+        "space-not-a-list",
+    ],
+)
+def test_config_errors_name_their_source(flows_csv, tmp_path, config, space, message):
+    cfg_path = tmp_path / "bad.json"
+    argv = ["tune", "--data", flows_csv, "--seed", "0"]
+    if config is not None:
+        cfg_path.write_text(config)
+        argv += ["--config", str(cfg_path)]
+    if space is not None:
+        argv += ["--space", space]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    text = str(exc.value.code)
+    assert text.startswith("error: ") and "\n" not in text
+    assert re.search("^error: " + message.replace("{cfg}", re.escape(str(cfg_path))), text)
