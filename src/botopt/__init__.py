@@ -51,11 +51,9 @@ from .preprocess import (
     SmoteConfig,
     apply_minmax,
     fit_minmax,
-    read_smote_log,
     scale_dataset,
     smote,
     smote_audit,
-    write_smote_log,
 )
 from .synthetic import gaussian_clusters
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,10 @@ class Dim:
 
     def __post_init__(self):
         if self.kind not in ("integer", "continuous"):
-            raise ValueError(f"unknown dimension kind {self.kind!r}")
+            raise ValueError(f"{self.name}: unknown dimension kind {self.kind!r}")
+        for side, bound in (("lower", self.lower), ("upper", self.upper)):
+            if isinstance(bound, bool) or not isinstance(bound, numbers.Real) or not math.isfinite(bound):
+                raise ValueError(f"{self.name}: {side} bound {bound!r} is not a finite number")
         if not self.lower < self.upper:
             raise ValueError(f"{self.name}: lower bound {self.lower} must be < upper {self.upper}")
         if self.kind == "integer" and (self.lower != int(self.lower) or self.upper != int(self.upper)):

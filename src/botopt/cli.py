@@ -84,7 +84,7 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     settings.setdefault("seed", 0)
     try:
         cfg = PipelineConfig.from_dict(settings)
-    except ValueError as err:  # from the search space, the only field from_dict checks
+    except ValueError as err:  # from the search space, the only field PipelineConfig checks
         raise ValueError(f"{'--space' if args.space else args.config}: {err}") from err
     if cfg.data_path is None:
         raise SystemExit("error: no data file (pass --data or set data_path in the config)")

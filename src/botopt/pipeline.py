@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -60,6 +60,8 @@ class PipelineError(RuntimeError):
 
 
 _DIM_KEYS = ("name", "kind", "lower", "upper")
+# the dimension kind that searches a HyperParams field, by the field's type
+_HP_KINDS = {f.name: {int: "integer", float: "continuous"}[type(f.default)] for f in fields(HyperParams)}
 
 
 @dataclass
@@ -79,6 +81,23 @@ class PipelineConfig:
     n_candidates: int = 1000
     n_threads: int = 1
     space: SearchSpace = field(default_factory=default_dt_space)
+
+    def __post_init__(self):
+        # each trial is HyperParams(**config): every dimension must name a
+        # field, with the field's kind, and bounds the field accepts
+        for dim in self.space.dims:
+            kind = _HP_KINDS.get(dim.name)
+            if kind is None:
+                raise ValueError(f"space dimension {dim.name!r} is not one of {', '.join(_HP_KINDS)}")
+            if dim.kind != kind:
+                raise ValueError(
+                    f"space dimension {dim.name!r} has kind {dim.kind!r}, HyperParams needs {kind!r}"
+                )
+            for bound in (dim.lower, dim.upper):
+                try:
+                    HyperParams(**{dim.name: bound})
+                except ValueError as err:
+                    raise ValueError(f"space dimension {dim.name!r}: {err}") from err
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":

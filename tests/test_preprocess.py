@@ -13,10 +13,8 @@ from botopt.preprocess import (
     SmoteConfig,
     apply_minmax,
     fit_minmax,
-    read_smote_log,
     smote,
     smote_audit,
-    write_smote_log,
 )
 
 from reference import knn_indices, ref_dense_neighbors, ref_smote_points
@@ -331,35 +329,3 @@ def test_neighbor_search_holds_no_dense_difference_tensor():
         tracemalloc.stop()
     assert peak < preprocess._KNN_CHUNK_BYTES
 
-
-def test_provenance_log_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    d = dataset(rng.random((20, 2)), [0] * 5 + [1] * 15)
-    log = tmp_path / "smote_log.csv"
-    cfg = SmoteConfig(k=2, target_ratio=1.0, seed=8)
-    out = smote(d, cfg)
-    _, *direct = smote_audit(d, cfg)
-    write_smote_log(*direct, log)
-    logged = read_smote_log(log)
-    assert len(logged[0]) == class_counts(out)[0] - 5
-    for read, written in zip(logged, direct):
-        np.testing.assert_array_equal(read, written)
-
-
-def test_write_read_log_preserves_lambda_exactly(tmp_path):
-    p = tmp_path / "log.csv"
-    lam = 0.12345678901234567
-    write_smote_log([3], [7], [lam], p)
-    assert p.read_text() == f"seed_index,neighbor_index,lam\n3,7,{lam!r}\n"
-    seeds, neighbors, lams = read_smote_log(p)
-    assert list(seeds) == [3] and list(neighbors) == [7]
-    assert list(lams) == [lam]
-
-
-def test_empty_log_round_trip(tmp_path):
-    # a dataset already at its target adds no rows and logs only the header
-    d = dataset(np.random.default_rng(1).random((10, 2)), [0] * 5 + [1] * 5)
-    p = tmp_path / "log.csv"
-    write_smote_log(*smote_audit(d, SmoteConfig(k=2, target_ratio=1.0, seed=0))[1:], p)
-    seeds, neighbors, lams = read_smote_log(p)
-    assert len(seeds) == len(neighbors) == len(lams) == 0
