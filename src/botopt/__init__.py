@@ -24,7 +24,6 @@ from .ingest import (
     SplitPair,
     class_counts,
     load_flows,
-    sample_flows,
     stratified_split,
     write_flows,
 )

@@ -75,6 +75,11 @@ class SearchSpace:
         object.__setattr__(self, "dims", tuple(self.dims))
         if not self.dims:
             raise ValueError("search space has no dimensions")
+        # a trial's config is keyed by name, so a repeated name would hide a dimension
+        names = self.names
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"search space names {name!r} twice")
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -80,12 +80,16 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         unknown = sorted(set(settings).difference(overrides))
         if unknown:
             raise SystemExit(f"error: {args.config}: unknown config field(s) {unknown}")
-    settings.update({k: v for k, v in overrides.items() if v is not None})
-    settings.setdefault("seed", 0)
+    # PipelineConfig checks every field: first the file's, then the flags over
+    # them, so an error names the source that gave the bad value
     try:
-        cfg = PipelineConfig.from_dict(settings)
-    except ValueError as err:  # from the search space, the only field PipelineConfig checks
-        raise ValueError(f"{'--space' if args.space else args.config}: {err}") from err
+        cfg = PipelineConfig.from_dict({"seed": 0, **settings})
+    except ValueError as err:
+        raise ValueError(f"{args.config}: {err}") from err
+    try:
+        cfg = PipelineConfig.from_dict(vars(cfg) | {k: v for k, v in overrides.items() if v is not None})
+    except ValueError as err:  # argparse has typed every other flag
+        raise ValueError(f"--space: {err}") from err
     if cfg.data_path is None:
         raise SystemExit("error: no data file (pass --data or set data_path in the config)")
     return cfg

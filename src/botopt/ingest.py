@@ -27,7 +27,6 @@ __all__ = [
     "Dataset",
     "SplitPair",
     "load_flows",
-    "sample_flows",
     "write_flows",
     "class_counts",
     "stratified_split",
@@ -226,37 +225,6 @@ def _check_labels(positive_label, negative_label):
             raise ValueError(f"{name} {label!r} is empty or has surrounding whitespace")
     if negative_label == positive_label:
         raise ValueError(f"negative_label {negative_label!r} equals positive_label")
-
-
-def sample_flows(
-    path,
-    label_column: str,
-    positive_label: str,
-    n_positive: int,
-    seed: int,
-    feature_columns: list[str] | None = None,
-) -> tuple[Dataset, dict[int, int]]:
-    """Every negative row plus a seeded uniform sample of positive rows.
-
-    Built for extremely skewed flow files: the whole file is read and
-    checked by ``load_flows`` (8 bytes per cell), then
-    ``default_rng(seed).choice(n_pos, size=min(n_positive, n_pos),
-    replace=False)`` picks positives by their ordinal among all positive
-    rows, so ``n_positive=0`` keeps the negatives only. The sampled rows
-    keep their file order. Returns the sampled Dataset together with the
-    full-file class counts.
-    """
-    if n_positive < 0:
-        raise ValueError(f"n_positive must be >= 0, got {n_positive}")
-    d = load_flows(path, label_column, positive_label, feature_columns)
-    positives = np.flatnonzero(d.labels == 1)
-    keep = d.labels == 0
-    n_take = min(n_positive, positives.size)
-    keep[positives[np.random.default_rng(seed).choice(positives.size, n_take, replace=False)]] = True
-    if not keep.any():
-        raise ValueError(f"{path}: no rows survived sampling")
-    counts = {0: d.n_rows - positives.size, 1: positives.size}
-    return d.take(np.flatnonzero(keep)), counts
 
 
 def _header_layout(header, label_column, feature_columns, path):

@@ -13,10 +13,12 @@ an explicit index-disjointness check enforces that at run time.
 
 from __future__ import annotations
 
+import numbers
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -64,10 +66,23 @@ _DIM_KEYS = ("name", "kind", "lower", "upper")
 _HP_KINDS = {f.name: {int: "integer", float: "continuous"}[type(f.default)] for f in fields(HyperParams)}
 
 
+def _fits(value, hint) -> bool:
+    """Whether ``value`` has the annotated type: a bool is not an int, an
+    int is a float, and ``list[str]`` is a list of str."""
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if args:  # X | None
+        return any(_fits(value, a) for a in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(hint, hint))
+
+
 @dataclass
 class PipelineConfig:
     seed: int
-    data_path: str | None = None
+    data_path: str | os.PathLike | None = None
     label_column: str = "label"
     positive_label: str = "attack"
     negative_label: str | None = None
@@ -83,6 +98,11 @@ class PipelineConfig:
     space: SearchSpace = field(default_factory=default_dt_space)
 
     def __post_init__(self):
+        hints = get_type_hints(PipelineConfig)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, hints[f.name]):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         # each trial is HyperParams(**config): every dimension must name a
         # field, with the field's kind, and bounds the field accepts
         for dim in self.space.dims:
@@ -110,6 +130,9 @@ class PipelineConfig:
                 missing = [k for k in _DIM_KEYS if k not in s] if isinstance(s, dict) else _DIM_KEYS
                 if missing:
                     raise ValueError(f"space entry {s!r} has no {', '.join(map(repr, missing))}")
+                unknown = [k for k in s if k not in _DIM_KEYS]
+                if unknown:
+                    raise ValueError(f"space entry {s!r} has unknown key(s) {', '.join(map(repr, unknown))}")
             d["space"] = SearchSpace(dims=tuple(Dim(*(s[k] for k in _DIM_KEYS)) for s in d["space"]))
         return cls(**d)
 

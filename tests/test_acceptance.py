@@ -6,6 +6,7 @@ and skips cleanly when it is absent; everything else is self-contained.
 """
 
 import os
+import runpy
 import time
 from math import ceil
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 from botopt.bayesopt import Dim, SearchSpace, optimize
 from botopt.dtree import HyperParams, fit_tree, predict_many
 from botopt.gp import KernelParams, gp_fit, gp_predict_batch, log_marginal_likelihood
-from botopt.ingest import Dataset, class_counts, sample_flows
+from botopt.ingest import Dataset, class_counts, load_flows
 from botopt.metrics import ConfusionMatrix, compute_metrics
 from botopt.pipeline import PipelineConfig, report_to_text, run_pipeline
 from botopt.preprocess import SmoteConfig, smote_audit
@@ -204,10 +205,8 @@ def test_criterion_5_smote_provenance_audit():
 
 # --- criterion 6: real-data reduced-scale check ------------------------------
 
-BOTIOT_FEATURES = [
-    "seq", "stddev", "N_IN_Conn_P_SrcIP", "min", "state_number",
-    "mean", "N_IN_Conn_P_DstIP", "drate", "srate", "max",
-]
+# the script defines the reduced experiment: its 10 features and attack sample
+BOTIOT_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_botiot.py"
 BOTIOT_LABEL = os.environ.get("BOTIOT_LABEL", "attack")
 BOTIOT_POSITIVE = os.environ.get("BOTIOT_POSITIVE", "1")
 
@@ -230,13 +229,13 @@ def test_criterion_6_reduced_scale_headline():
             "(flow file absent; set BOTIOT_CSV or place data/botiot_5pct.csv)"
         )
         pytest.skip("reduced flow dataset not available")
+    script = runpy.run_path(str(BOTIOT_SCRIPT))
     start = time.perf_counter()
-    data, full_counts = sample_flows(
-        path, BOTIOT_LABEL, BOTIOT_POSITIVE, n_positive=50_000, seed=2018,
-        feature_columns=BOTIOT_FEATURES,
-    )
+    full = load_flows(path, BOTIOT_LABEL, BOTIOT_POSITIVE, script["BEST10_FEATURES"])
     # published reduced-set class sizes for the 5% file
-    assert full_counts == {0: 477, 1: 3_668_045}
+    assert class_counts(full) == {0: 477, 1: 3_668_045}
+    data = script["sample_attacks"](full, 50_000, 2018)
+    del full
     assert data.n_features == 10
     assert class_counts(data) == {0: 477, 1: 50_000}
 

@@ -434,3 +434,10 @@ def test_dim_bound_must_be_a_finite_number(kind, bad):
         Dim("depth", kind, bad, 5)
     with pytest.raises(ValueError, match=r"^depth: upper bound .* is not a finite number$"):
         Dim("depth", kind, 1, bad)
+
+
+def test_search_space_rejects_a_repeated_name():
+    # a trial's config is a dict keyed by name: the later range would win
+    dims = (Dim("depth", "integer", 1, 3), Dim("x", "continuous", 0, 1), Dim("depth", "integer", 10, 20))
+    with pytest.raises(ValueError, match=r"^search space names 'depth' twice$"):
+        SearchSpace(dims)

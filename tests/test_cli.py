@@ -191,6 +191,11 @@ def test_input_errors_exit_with_one_error_line(flows_csv, tmp_path, verb, data, 
 
 
 NO_KIND = '[{"name": "max_depth", "lower": 1, "upper": 5}]'
+DEPTH_TWICE = (
+    '[{"name": "max_depth", "kind": "integer", "lower": 1, "upper": 3}, '
+    '{"name": "max_depth", "kind": "integer", "lower": 10, "upper": 20}]'
+)
+LOG_SCALE = '[{"name": "max_depth", "kind": "integer", "lower": 1, "upper": 5, "scale": "log"}]'
 
 
 def dim(name, kind, lower, upper):
@@ -217,11 +222,28 @@ def dim(name, kind, lower, upper):
          r"--space: max_depth: lower bound 'a' is not a finite number$"),
         (None, dim("max_depth", "integer", 1, "1e999"),
          r"--space: max_depth: upper bound inf is not a finite number$"),
+        ('{"budget": "6"}', None, r"{cfg}: budget must be int, got '6'$"),
+        ('{"smote_k": "2"}', None, r"{cfg}: smote_k must be int, got '2'$"),
+        ('{"cv_folds": "3"}', None, r"{cfg}: cv_folds must be int, got '3'$"),
+        ('{"n_candidates": "10"}', None, r"{cfg}: n_candidates must be int, got '10'$"),
+        ('{"n_init": 2.5}', None, r"{cfg}: n_init must be int \| None, got 2\.5$"),
+        ('{"budget": true}', None, r"{cfg}: budget must be int, got True$"),
+        ('{"feature_columns": "f0,f1"}', None,
+         r"{cfg}: feature_columns must be list\[str\] \| None, got 'f0,f1'$"),
+        # the bad field is the file's, although --space is given too
+        ('{"budget": "6"}', dim("max_depth", "integer", 1, 5), r"{cfg}: budget must be int, got '6'$"),
+        (None, DEPTH_TWICE, r"--space: search space names 'max_depth' twice$"),
+        (None, LOG_SCALE, r"--space: space entry .*'max_depth'.* has unknown key\(s\) 'scale'$"),
+        ('{"space": ' + LOG_SCALE + "}", None, r"{cfg}: space entry .* has unknown key\(s\) 'scale'$"),
     ],
     ids=[
         "bad-json-config", "bad-json-space", "no-kind-config", "no-kind-space", "list-config",
         "space-not-a-list", "unknown-name-space", "wrong-kind-config", "bound-out-of-range-space",
-        "string-bound-space", "overflow-bound-space",
+        "string-bound-space", "overflow-bound-space", "string-budget-config",
+        "string-smote-k-config", "string-cv-folds-config", "string-n-candidates-config",
+        "float-n-init-config", "bool-budget-config", "string-feature-columns-config",
+        "string-budget-config-with-space", "repeated-name-space", "unknown-key-space",
+        "unknown-key-config",
     ],
 )
 def test_config_errors_name_their_source(flows_csv, tmp_path, config, space, message):

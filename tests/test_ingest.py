@@ -14,7 +14,6 @@ from botopt.ingest import (
     Dataset,
     class_counts,
     load_flows,
-    sample_flows,
     stratified_split,
     write_flows,
 )
@@ -192,18 +191,6 @@ def test_load_flows_rejects_a_string_of_feature_columns(tmp_path, columns):
     expected = rf"^feature_columns must be a list of column names, got {re.escape(repr(columns))}$"
     with pytest.raises(ValueError, match=expected):
         load_flows(p, "label", "attack", feature_columns=columns)
-    with pytest.raises(ValueError, match="feature_columns must be a list"):
-        sample_flows(p, "label", "attack", n_positive=1, seed=0, feature_columns=columns)
-
-
-def test_sample_flows_rejects_a_negative_n_positive(tmp_path):
-    p = tmp_path / "flows.csv"
-    write_flows(gaussian_clusters(20, 4, seed=1), p)
-    with pytest.raises(ValueError, match=r"^n_positive must be >= 0, got -1$"):
-        sample_flows(p, "label", "attack", n_positive=-1, seed=0)
-    # zero keeps its meaning: the negatives only
-    sub, counts = sample_flows(p, "label", "attack", n_positive=0, seed=0)
-    assert class_counts(sub) == {0: 4} and counts == {0: 4, 1: 20}
 
 
 class CsvLoopRan(Exception):
@@ -354,67 +341,6 @@ def test_round_trip_exact(tmp_path):
     assert back.feature_names == d.feature_names
 
 
-def test_sample_flows_keeps_all_negatives_and_samples_positives(tmp_path):
-    d = gaussian_clusters(200, 15, seed=4)
-    p = tmp_path / "big.csv"
-    write_flows(d, p, "label", "attack", "normal")
-    sub, full_counts = sample_flows(p, "label", "attack", n_positive=40, seed=6)
-    assert full_counts == {0: 15, 1: 200}
-    assert class_counts(sub) == {0: 15, 1: 40}
-    assert sub.feature_names == d.feature_names
-    # negatives survive with values intact
-    np.testing.assert_array_equal(
-        np.sort(sub.features[sub.labels == 0], axis=0),
-        np.sort(d.features[d.labels == 0], axis=0),
-    )
-
-
-def test_sample_flows_deterministic_and_caps_at_total(tmp_path):
-    d = gaussian_clusters(30, 5, seed=8)
-    p = tmp_path / "flows.csv"
-    write_flows(d, p, "label", "attack", "normal")
-    a, _ = sample_flows(p, "label", "attack", n_positive=10, seed=0)
-    b, _ = sample_flows(p, "label", "attack", n_positive=10, seed=0)
-    np.testing.assert_array_equal(a.features, b.features)
-    everything, counts = sample_flows(p, "label", "attack", n_positive=10_000, seed=0)
-    assert class_counts(everything) == counts == {0: 5, 1: 30}
-
-
-@pytest.mark.parametrize("n_positive", [7, 40, 1_000])
-def test_sample_flows_is_load_flows_with_the_documented_draw(tmp_path, n_positive):
-    # below, at and above the file's 40 positives
-    p = tmp_path / "flows.csv"
-    write_flows(gaussian_clusters(40, 6, seed=11), p)
-    full = load_flows(p, "label", "attack")
-    positives = np.flatnonzero(full.labels == 1)
-    n_take = min(n_positive, positives.size)
-    chosen = positives[np.random.default_rng(3).choice(positives.size, size=n_take, replace=False)]
-    expected = full.take(np.sort(np.concatenate([np.flatnonzero(full.labels == 0), chosen])))
-    sub, counts = sample_flows(p, "label", "attack", n_positive=n_positive, seed=3)
-    assert counts == {0: 6, 1: 40}
-    assert sub.feature_names == expected.feature_names
-    np.testing.assert_array_equal(sub.features, expected.features)
-    np.testing.assert_array_equal(sub.labels, expected.labels)
-
-
-def _load(path):
-    return load_flows(path, "label", "attack")
-
-
-def _sample(path):
-    return sample_flows(path, "label", "attack", n_positive=10, seed=0)[0]
-
-
-def _sample_none(path):
-    # no positive row is sampled, but every row is still checked
-    return sample_flows(path, "label", "attack", n_positive=0, seed=0)[0]
-
-
-@pytest.mark.parametrize(
-    "loader",
-    [_load, _sample, _sample_none],
-    ids=["load_flows", "sample_flows", "sample_flows_none"],
-)
 @pytest.mark.parametrize(
     "bad_row, message, column",
     [
@@ -429,9 +355,7 @@ def _sample_none(path):
         ("7,1e999,attack", "non-finite value inf", "bytes"),
     ],
 )
-def test_loaders_reject_bad_rows_naming_path_row_and_column(
-    tmp_path, loader, bad_row, message, column
-):
+def test_load_flows_rejects_bad_rows_naming_path_row_and_column(tmp_path, bad_row, message, column):
     # the bad row is data row 3, so a 0-based or array-relative index shows
     p = write_csv(
         tmp_path / "flows.csv",
@@ -439,16 +363,7 @@ def test_loaders_reject_bad_rows_naming_path_row_and_column(
     )
     expected = f"{re.escape(str(p))}: {re.escape(message)} at row 3, column '{column}'"
     with pytest.raises(ValueError, match=expected):
-        loader(p)
-
-
-def test_sample_flows_names_the_file_row_of_a_bad_sampled_row(tmp_path):
-    # most positives are skipped, so the bad row's position among the kept
-    # rows is not its row in the file
-    rows = "".join(f"{i},1,attack\n" for i in range(5))
-    p = write_csv(tmp_path / "flows.csv", f"rate,bytes,label\n{rows}1,2,normal\n3,inf,normal\n")
-    with pytest.raises(ValueError, match=r"non-finite value inf at row 7, column 'bytes'"):
-        sample_flows(p, "label", "attack", n_positive=1, seed=0)
+        load_flows(p, "label", "attack")
 
 
 def test_dataset_rejects_non_finite():

@@ -257,3 +257,29 @@ def test_config_round_trip():
 def test_config_rejects_a_space_that_hyperparams_cannot_take(dim, message):
     with pytest.raises(ValueError, match=message):
         small_config(space=SearchSpace((dim,)))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("budget", "6", r"^budget must be int, got '6'$"),
+        ("budget", True, r"^budget must be int, got True$"),
+        ("budget", 6.0, r"^budget must be int, got 6\.0$"),
+        ("seed", None, r"^seed must be int, got None$"),
+        ("test_fraction", "0.2", r"^test_fraction must be float, got '0\.2'$"),
+        ("n_init", 2.5, r"^n_init must be int \| None, got 2\.5$"),
+        ("label_column", 1, r"^label_column must be str, got 1$"),
+        ("feature_columns", ("a", "b"), r"^feature_columns must be list\[str\] \| None, got \("),
+        ("feature_columns", ["a", 1], r"^feature_columns must be list\[str\] \| None, got \["),
+        ("space", [], r"^space must be SearchSpace, got \[\]$"),
+    ],
+)
+def test_config_checks_each_field_against_its_annotation(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        small_config(**{field: value})
+
+
+def test_config_takes_an_int_for_a_float_a_path_and_none_where_optional(tmp_path):
+    cfg = small_config(smote_ratio=2, test_fraction=np.float64(0.25), seed=np.int64(3),
+                       data_path=tmp_path, n_init=None, negative_label=None)
+    assert cfg.smote_ratio == 2 and cfg.data_path == tmp_path
