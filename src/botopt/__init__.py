@@ -15,6 +15,7 @@ from .gp import (
     GPModel,
     KernelParams,
     default_kernel_grid,
+    gp_extend,
     gp_fit,
     log_marginal_likelihood,
     tune_kernel,

@@ -4,10 +4,12 @@ The loop is standard: a seeded Latin-hypercube design seeds the surrogate,
 then each iteration fits a GP to all observations (targets standardized to
 zero mean and unit variance), maximizes Expected Improvement over a cloud
 of uniform random candidates in the unit cube, and evaluates the winner.
-The GP is used through its public calls only: ``tune_kernel`` picks the
-kernel on the first proposal step and every RETUNE_EVERY steps after it,
-and each step is one ``gp_fit`` with the last tuned kernel, both at the
-observation noise DEFAULT_NOISE.
+The GP is used through its public calls only, at the observation noise
+DEFAULT_NOISE: ``tune_kernel`` picks the kernel on the first proposal step
+and every RETUNE_EVERY steps after it, and ``gp_fit`` factorizes afresh
+with it; on the steps in between, ``gp_extend`` grows the last model's
+factors by the one new trial, so at most RETUNE_EVERY - 1 bordered rows
+pile up before the next fresh factorization.
 Integer dimensions are optimized continuously and rounded at evaluation
 time; rounded configurations are cached so a duplicate proposal never
 re-runs the objective.
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import GPModel, default_kernel_grid, gp_fit, gp_predict_batch, tune_kernel
+from .gp import GPModel, default_kernel_grid, gp_extend, gp_fit, gp_predict_batch, tune_kernel
 
 __all__ = [
     "Dim",
@@ -253,7 +255,9 @@ def optimize(
         y_std = (y - float(np.mean(y))) / (sigma if sigma > 0 else 1.0)
         if (i - n_init) % RETUNE_EVERY == 0:  # true on the first proposal step
             kernel = tune_kernel(units[:i], y_std, default_kernel_grid(), DEFAULT_NOISE)
-        model = gp_fit(units[:i], y_std, kernel, DEFAULT_NOISE)
+            model = gp_fit(units[:i], y_std, kernel, DEFAULT_NOISE)
+        else:  # same kernel, one more row, new standardized targets
+            model = gp_extend(model, units[:i], y_std)
 
         prop_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
         config = propose_next(model, space, float(y_std.max()), prop_seed, n_candidates)

@@ -80,16 +80,20 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         unknown = sorted(set(settings).difference(overrides))
         if unknown:
             raise SystemExit(f"error: {args.config}: unknown config field(s) {unknown}")
-    # PipelineConfig checks every field: first the file's, then the flags over
-    # them, so an error names the source that gave the bad value
+    # PipelineConfig checks every field: first the file's, then each flag over
+    # them, so an error names the source that gave the bad value (argparse
+    # types the flags, so only a range or the space can fail, and every such
+    # flag is --<field>)
     try:
         cfg = PipelineConfig.from_dict({"seed": 0, **settings})
     except ValueError as err:
         raise ValueError(f"{args.config}: {err}") from err
-    try:
-        cfg = PipelineConfig.from_dict(vars(cfg) | {k: v for k, v in overrides.items() if v is not None})
-    except ValueError as err:  # argparse has typed every other flag
-        raise ValueError(f"--space: {err}") from err
+    for name, value in overrides.items():
+        if value is not None:
+            try:
+                cfg = PipelineConfig.from_dict(vars(cfg) | {name: value})
+            except ValueError as err:
+                raise ValueError(f"--{name.replace('_', '-')}: {err}") from err
     if cfg.data_path is None:
         raise SystemExit("error: no data file (pass --data or set data_path in the config)")
     return cfg

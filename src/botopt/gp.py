@@ -3,15 +3,25 @@
 A fit is one Cholesky factorization of [[K + noise*I, y'], [y'^T, c]], with
 y' = y 2^-e below 1 in magnitude and c the largest float64: the factor's
 top-left block is L (L L^T = K + noise*I) and its last row is L^-1 y', so
-w = L^-1 y takes no triangular solve. Posterior mean at q is v^T w and
-variance k(q,q) - ||v||^2, with v = L^-1 k*. The prior mean is zero; callers
-who want a non-zero prior standardize their targets before fitting.
+w = L^-1 y takes no triangular solve. The fit also inverts L once, so a
+prediction is one matrix product: posterior mean at q is v^T w and variance
+k(q,q) - ||v||^2, with v = L^-1 k*. The prior mean is zero; callers who want
+a non-zero prior standardize their targets before fitting.
+
+With the kernel held fixed, ``gp_extend`` adds rows to a fitted model by the
+bordered Cholesky step (Rasmussen & Williams, GPML, 2006, Alg. 2.1 and
+App. A.3): each new row borders L and L^-1 in O(t^2), where a new fit costs
+O(t^3).
+
+Distances between the inputs are summed feature by feature (``_sqdist``);
+the kernel between inputs and query points comes from the Gram form
+|x|^2 + |q|^2 - 2 x.q (``_cross_kernel``), which rounds differently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, pi
+from math import log, pi, sqrt
 
 import numpy as np
 
@@ -19,6 +29,7 @@ __all__ = [
     "KernelParams",
     "GPModel",
     "gp_fit",
+    "gp_extend",
     "gp_predict_batch",
     "log_marginal_likelihood",
     "tune_kernel",
@@ -46,14 +57,15 @@ class KernelParams:
 class GPModel:
     """Fitted GP state. noise is the requested observation noise; jitter is
     any extra diagonal added to rescue the factorization, so
-    chol @ chol.T == K + (noise + jitter) * I, and chol @ w == y for the
-    fitted targets y."""
+    chol @ chol.T == K + (noise + jitter) * I, chol_inv @ chol == I, and
+    chol @ w == y for the fitted targets y."""
 
     X: np.ndarray
     kernel: KernelParams
     noise: float
     jitter: float
     chol: np.ndarray
+    chol_inv: np.ndarray
     w: np.ndarray
 
 
@@ -71,14 +83,23 @@ def _rbf(p: KernelParams, sq: np.ndarray) -> np.ndarray:
     return p.signal_variance * np.exp(-sq / (2.0 * p.lengthscale**2))
 
 
-def gp_fit(X: np.ndarray, y: np.ndarray, p: KernelParams, noise: float) -> GPModel:
-    """Fit the GP; escalates diagonal jitter on Cholesky failure."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return _fit(X, y, p, noise, _sqdist(X, X))
+def _cross_kernel(p: KernelParams, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """k(X, Q) built in one (len(X), len(Q)) buffer from the Gram form: with
+    x and q in lengthscale units, -|x - q|^2 / 2 = x.q - |x|^2/2 - |q|^2/2,
+    clamped at 0 where rounding leaves it above. Close to, not bit-equal to,
+    _rbf(p, _sqdist(X, Q))."""
+    Xs, Qs = X / p.lengthscale, Q / p.lengthscale
+    K = Xs @ Qs.T
+    K -= 0.5 * np.einsum("ij,ij->i", Xs, Xs)[:, None]
+    K -= 0.5 * np.einsum("ij,ij->i", Qs, Qs)
+    np.minimum(K, 0.0, out=K)
+    np.exp(K, out=K)
+    K *= p.signal_variance
+    return K
 
 
-def _fit(X: np.ndarray, y: np.ndarray, p: KernelParams, noise: float, sq: np.ndarray) -> GPModel:
-    """gp_fit on a 2-D float X, given the squared distances sq between its rows."""
+def _targets(X: np.ndarray, y, noise: float) -> np.ndarray:
+    """y as a flat float array, after the checks every fit makes."""
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"{X.shape[0]} inputs but {y.shape[0]} targets")
@@ -88,10 +109,19 @@ def _fit(X: np.ndarray, y: np.ndarray, p: KernelParams, noise: float, sq: np.nda
         raise ValueError(f"noise must be non-negative, got {noise}")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
+    return y
 
+
+def _exponent(y: np.ndarray) -> int:
+    """e with max|y| < 2^e, so |y 2^-e| < 1 and w'^T w' cannot overflow."""
+    return int(np.frexp(np.max(np.abs(y)))[1])
+
+
+def _factor(K: np.ndarray, y: np.ndarray, noise: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(jitter, L, w = L^-1 y) for the kernel matrix K, escalating the
+    diagonal jitter on Cholesky failure."""
     t = y.shape[0]
-    K = _rbf(p, sq)
-    e = int(np.frexp(np.max(np.abs(y)))[1])  # max|y| < 2^e: |y'| < 1, so w'^T w' cannot overflow
+    e = _exponent(y)
     B = np.empty((t + 1, t + 1))
     B[:t, :t] = K
     B[t, :t] = B[:t, t] = np.ldexp(y, -e)
@@ -105,10 +135,48 @@ def _fit(X: np.ndarray, y: np.ndarray, p: KernelParams, noise: float, sq: np.nda
         except np.linalg.LinAlgError as err:
             last_err = err
             continue
-        return GPModel(X=X, kernel=p, noise=noise, jitter=jitter, chol=F[:t, :t], w=np.ldexp(F[t, :t], e))
+        return jitter, F[:t, :t], np.ldexp(F[t, :t], e)
     raise np.linalg.LinAlgError(
         f"Cholesky factorization failed up to jitter {_JITTERS[-1]}: {last_err}"
     )
+
+
+def gp_fit(X: np.ndarray, y: np.ndarray, p: KernelParams, noise: float) -> GPModel:
+    """Fit the GP; escalates diagonal jitter on Cholesky failure."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = _targets(X, y, noise)
+    jitter, chol, w = _factor(_rbf(p, _sqdist(X, X)), y, noise)
+    chol_inv = np.tril(np.linalg.inv(chol))  # inv pivots, leaving rounding above the diagonal
+    return GPModel(X=X, kernel=p, noise=noise, jitter=jitter, chol=chol, chol_inv=chol_inv, w=w)
+
+
+def gp_extend(m: GPModel, X: np.ndarray, y: np.ndarray) -> GPModel:
+    """gp_fit(X, y, m.kernel, m.noise) for an X whose first len(m.X) rows
+    are m.X, by bordering m's factors with one row per new input and keeping
+    m's jitter. New targets y may differ from m's throughout. Falls back to
+    gp_fit, and its jitter ladder, when a new pivot is not positive."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    t0, t = m.X.shape[0], X.shape[0]
+    if X.shape[1] != m.X.shape[1] or t < t0 or not np.array_equal(X[:t0], m.X):
+        raise ValueError(f"X must start with the model's {t0} inputs")
+    y = _targets(X, y, m.noise)
+    p = m.kernel
+    L = np.zeros((t, t))
+    L_inv = np.zeros((t, t))
+    L[:t0, :t0] = m.chol
+    L_inv[:t0, :t0] = m.chol_inv
+    pivot = p.signal_variance + (m.noise + m.jitter)  # the full fit's diagonal
+    for r in range(t0, t):
+        l = L_inv[:r, :r] @ _rbf(p, _sqdist(X[:r], X[r : r + 1]))[:, 0]
+        d2 = pivot - float(l @ l)
+        if not d2 > 0.0:
+            return gp_fit(X, y, p, m.noise)
+        d = sqrt(d2)
+        L[r, :r], L[r, r] = l, d
+        L_inv[r, :r], L_inv[r, r] = (l @ L_inv[:r, :r]) / -d, 1.0 / d
+    e = _exponent(y)
+    w = np.ldexp(L_inv @ np.ldexp(y, -e), e)
+    return GPModel(X=X, kernel=p, noise=m.noise, jitter=m.jitter, chol=L, chol_inv=L_inv, w=w)
 
 
 def gp_predict_batch(m: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,20 +184,24 @@ def gp_predict_batch(m: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     if Q.shape[1] != m.X.shape[1]:
         raise ValueError(f"query dimension {Q.shape[1]} does not match model dimension {m.X.shape[1]}")
-    v = np.linalg.inv(m.chol) @ _rbf(m.kernel, _sqdist(m.X, Q))  # L^-1 k*, (t, n_query)
-    mean = v.T @ m.w
-    var = np.maximum(m.kernel.signal_variance - np.sum(v * v, axis=0), 0.0)
+    v = m.chol_inv @ _cross_kernel(m.kernel, m.X, Q)  # L^-1 k*, (t, n_query)
+    mean = m.w @ v
+    var = np.maximum(m.kernel.signal_variance - np.einsum("ij,ij->j", v, v), 0.0)
     return mean, var
+
+
+def _evidence(chol: np.ndarray, w: np.ndarray) -> float:
+    t = w.shape[0]
+    return float(
+        -0.5 * float(w @ w)
+        - float(np.sum(np.log(np.diag(chol))))
+        - 0.5 * t * log(2.0 * pi)
+    )
 
 
 def log_marginal_likelihood(m: GPModel) -> float:
     """-1/2 w^T w - sum(log diag L) - t/2 log(2 pi), where w^T w = y^T (K + noise*I)^-1 y."""
-    t = m.w.shape[0]
-    return float(
-        -0.5 * float(m.w @ m.w)
-        - float(np.sum(np.log(np.diag(m.chol))))
-        - 0.5 * t * log(2.0 * pi)
-    )
+    return _evidence(m.chol, m.w)
 
 
 def tune_kernel(
@@ -141,14 +213,16 @@ def tune_kernel(
     if not grid:
         raise ValueError("kernel grid is empty")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    y = _targets(X, y, noise)
     sq = _sqdist(X, X)
     best: KernelParams | None = None
     best_lml = -np.inf
     for cand in grid:
         try:
-            lml = log_marginal_likelihood(_fit(X, y, cand, noise, sq))
+            _, chol, w = _factor(_rbf(cand, sq), y, noise)
         except np.linalg.LinAlgError:
             continue
+        lml = _evidence(chol, w)
         if lml > best_lml:
             best, best_lml = cand, lml
     if best is None:

@@ -103,6 +103,19 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if not _fits(value, hints[f.name]):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        # ranges the stages would reject later, without the field's name
+        for name, ok, rule in (
+            ("test_fraction", 0 < self.test_fraction < 1, "in (0, 1)"),
+            ("smote_k", self.smote_k >= 1, ">= 1"),
+            ("smote_ratio", 0 < self.smote_ratio <= 1, "in (0, 1]"),
+            ("budget", self.budget >= 1, ">= 1"),
+            ("n_init", self.n_init is None or self.n_init >= 1, ">= 1"),
+            ("cv_folds", self.cv_folds >= 2, ">= 2"),
+            ("n_candidates", self.n_candidates >= 1, ">= 1"),
+            ("n_threads", self.n_threads >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         # each trial is HyperParams(**config): every dimension must name a
         # field, with the field's kind, and bounds the field accepts
         for dim in self.space.dims:

@@ -26,7 +26,7 @@ from botopt.bayesopt import (
     propose_next,
     write_trace,
 )
-from botopt.gp import KernelParams, default_kernel_grid, gp_fit, tune_kernel
+from botopt.gp import KernelParams, default_kernel_grid, gp_extend, gp_fit, tune_kernel
 
 from reference import ref_expected_improvement, ref_gp_predict
 
@@ -293,15 +293,18 @@ def test_optimize_equals_unshared_surrogate_loop():
 
     for i, u in enumerate(latin_hypercube(n_init, d, init_rng)):
         record(_to_native(space, u), i)
-    kp = None
+    model = None
     for i in range(n_init, budget):
         U = np.array([[(t.config[m.name] - m.lower) / (m.upper - m.lower) for m in space.dims] for t in trials])
         y = np.array([t.objective for t in trials])
         y_std = (y - np.mean(y)) / (np.std(y) or 1.0)
-        if kp is None or (i - n_init) % RETUNE_EVERY == 0:
+        if model is None or (i - n_init) % RETUNE_EVERY == 0:
             kp = tune_kernel(U, y_std, default_kernel_grid(), noise)
+            model = gp_fit(U, y_std, kp, noise)
+        else:
+            model = gp_extend(model, U, y_std)
         prop_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
-        config = propose_next(gp_fit(U, y_std, kp, noise), space, float(y_std.max()), prop_seed)
+        config = propose_next(model, space, float(y_std.max()), prop_seed)
         if _key(space, config) in cache:
             config = _to_native(space, sub_rng.random(d))
         record(config, i)
@@ -313,7 +316,9 @@ def test_optimize_equals_unshared_surrogate_loop():
 
 @pytest.mark.parametrize("budget, n_init", [(23, 5), (20, 5), (6, 5), (5, 5)])
 def test_optimize_fits_every_step_and_retunes_every_retune_every(monkeypatch, budget, n_init):
-    fits, tunes = [], []
+    # a fresh fit (and the only inverse of L) on re-tune steps, a bordered
+    # extension of the last model on every other step
+    fits, tunes, extends, inverses = [], [], [], []
 
     def counting(calls, fn):
         def wrapped(X, *args):
@@ -321,11 +326,18 @@ def test_optimize_fits_every_step_and_retunes_every_retune_every(monkeypatch, bu
             return fn(X, *args)
         return wrapped
 
+    def counting_extend(m, X, y):
+        extends.append((len(m.X), len(X)))
+        return gp_extend(m, X, y)
+
     monkeypatch.setattr(botopt.bayesopt, "gp_fit", counting(fits, gp_fit))
     monkeypatch.setattr(botopt.bayesopt, "tune_kernel", counting(tunes, tune_kernel))
+    monkeypatch.setattr(botopt.bayesopt, "gp_extend", counting_extend)
+    monkeypatch.setattr(np.linalg, "inv", counting(inverses, np.linalg.inv))
     optimize(parabola, SPACE_1D, budget=budget, n_init=n_init, seed=2)
-    assert fits == list(range(n_init, budget))
-    assert tunes == list(range(n_init, budget, RETUNE_EVERY))  # ceil((budget - n_init) / RETUNE_EVERY) calls
+    retunes = list(range(n_init, budget, RETUNE_EVERY))  # ceil((budget - n_init) / RETUNE_EVERY) steps
+    assert tunes == fits == inverses == retunes
+    assert extends == [(i - 1, i) for i in range(n_init, budget) if i not in retunes]
 
 
 def test_optimize_deterministic():

@@ -232,6 +232,14 @@ def dim(name, kind, lower, upper):
          r"{cfg}: feature_columns must be list\[str\] \| None, got 'f0,f1'$"),
         # the bad field is the file's, although --space is given too
         ('{"budget": "6"}', dim("max_depth", "integer", 1, 5), r"{cfg}: budget must be int, got '6'$"),
+        ('{"smote_k": 0}', None, r"{cfg}: smote_k must be >= 1, got 0$"),
+        ('{"smote_ratio": -1}', None, r"{cfg}: smote_ratio must be in \(0, 1\], got -1$"),
+        ('{"cv_folds": 1}', None, r"{cfg}: cv_folds must be >= 2, got 1$"),
+        ('{"test_fraction": 1.0}', None, r"{cfg}: test_fraction must be in \(0, 1\), got 1\.0$"),
+        ('{"budget": 0}', None, r"{cfg}: budget must be >= 1, got 0$"),
+        ('{"n_init": 0}', None, r"{cfg}: n_init must be >= 1, got 0$"),
+        ('{"n_candidates": 0}', None, r"{cfg}: n_candidates must be >= 1, got 0$"),
+        ('{"n_threads": 0}', None, r"{cfg}: n_threads must be >= 1, got 0$"),
         (None, DEPTH_TWICE, r"--space: search space names 'max_depth' twice$"),
         (None, LOG_SCALE, r"--space: space entry .*'max_depth'.* has unknown key\(s\) 'scale'$"),
         ('{"space": ' + LOG_SCALE + "}", None, r"{cfg}: space entry .* has unknown key\(s\) 'scale'$"),
@@ -242,7 +250,9 @@ def dim(name, kind, lower, upper):
         "string-bound-space", "overflow-bound-space", "string-budget-config",
         "string-smote-k-config", "string-cv-folds-config", "string-n-candidates-config",
         "float-n-init-config", "bool-budget-config", "string-feature-columns-config",
-        "string-budget-config-with-space", "repeated-name-space", "unknown-key-space",
+        "string-budget-config-with-space", "zero-smote-k-config", "negative-smote-ratio-config",
+        "one-cv-fold-config", "test-fraction-one-config", "zero-budget-config", "zero-n-init-config",
+        "zero-n-candidates-config", "zero-n-threads-config", "repeated-name-space", "unknown-key-space",
         "unknown-key-config",
     ],
 )
@@ -259,3 +269,21 @@ def test_config_errors_name_their_source(flows_csv, tmp_path, config, space, mes
     text = str(exc.value.code)
     assert text.startswith("error: ") and "\n" not in text
     assert re.search("^error: " + message.replace("{cfg}", re.escape(str(cfg_path))), text)
+
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--budget", "0"], r"^error: --budget: budget must be >= 1, got 0$"),
+        (["--smote-ratio", "2"], r"^error: --smote-ratio: smote_ratio must be in \(0, 1\], got 2\.0$"),
+        (["--n-threads", "0"], r"^error: --n-threads: n_threads must be >= 1, got 0$"),
+    ],
+    ids=["zero-budget", "smote-ratio-above-one", "zero-n-threads"],
+)
+def test_flag_range_errors_name_the_flag(flows_csv, tmp_path, flags, message):
+    cfg_path = tmp_path / "ok.json"
+    cfg_path.write_text('{"budget": 6}')  # a good file under the bad flag
+    with pytest.raises(SystemExit) as exc:
+        main(["tune", "--data", flows_csv, "--seed", "0", "--config", str(cfg_path), *flags])
+    assert re.search(message, str(exc.value.code))

@@ -5,9 +5,11 @@ import pytest
 
 from botopt.gp import (
     KernelParams,
+    _cross_kernel,
     _rbf,
     _sqdist,
     default_kernel_grid,
+    gp_extend,
     gp_fit,
     gp_predict_batch,
     log_marginal_likelihood,
@@ -235,6 +237,110 @@ def test_sqdist_bit_equal_to_axis_sum(d, shape):
         assert np.array_equal(_sqdist(A, B), axis_sum)
     else:
         np.testing.assert_allclose(_sqdist(A, B), axis_sum, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("k, t", [(1, 2), (1, 12), (5, 6), (5, 9), (20, 24), (39, 40)])
+def test_gp_extend_matches_a_fresh_fit(k, t):
+    # K + noise*I kept well conditioned (noise 1e-2), so the bordered and the
+    # fresh factors agree far below the tolerance
+    rng = np.random.default_rng(100 * k + t)
+    X = rng.random((t, 3))
+    y = rng.standard_normal(t)
+    p = KernelParams(1.3, 0.4)
+    fresh = gp_fit(X, y, p, 1e-2)
+    grown = gp_extend(gp_fit(X[:k], rng.standard_normal(k), p, 1e-2), X, y)
+    assert grown.jitter == fresh.jitter == 0.0
+    for a, b in ((grown.chol, fresh.chol), (grown.chol_inv, fresh.chol_inv), (grown.w, fresh.w)):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
+    Q = rng.random((50, 3))
+    for a, b in zip(gp_predict_batch(grown, Q), gp_predict_batch(fresh, Q)):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
+    assert np.array_equal(np.tril(grown.chol), grown.chol)
+    assert np.array_equal(np.tril(grown.chol_inv), grown.chol_inv)
+
+
+@pytest.mark.parametrize("grow", [False, True])
+def test_chol_inv_inverts_chol(grow):
+    rng = np.random.default_rng(19)
+    X, y = rng.random((30, 2)), rng.standard_normal(30)
+    p = KernelParams(0.8, 0.3)
+    m = gp_extend(gp_fit(X[:26], y[:26], p, 1e-4), X, y) if grow else gp_fit(X, y, p, 1e-4)
+    np.testing.assert_allclose(m.chol_inv @ m.chol, np.eye(30), rtol=0.0, atol=1e-10)
+
+
+def test_gp_extend_by_no_rows_refits_the_targets_only():
+    rng = np.random.default_rng(47)
+    X, y = rng.random((6, 2)), rng.standard_normal(6)
+    m = gp_fit(X, rng.standard_normal(6), KernelParams(1.0, 0.5), 1e-3)
+    same = gp_extend(m, X, y)
+    assert np.array_equal(same.chol, m.chol) and np.array_equal(same.chol_inv, m.chol_inv)
+    np.testing.assert_allclose(same.chol @ same.w, y, rtol=0.0, atol=1e-12)
+
+
+def test_gp_extend_duplicate_row_falls_back_to_the_jitter_ladder():
+    # the two inputs are 40 lengthscales apart, so K = I exactly, L = L^-1 = I,
+    # and a duplicate of the first leaves the new pivot 1 - 1 = 0 at noise 0
+    X = np.array([[0.5], [3.0], [0.5]])
+    y = np.array([1.0, -1.0, 0.5])
+    p = KernelParams(1.0, 1.0 / 16)
+    m = gp_fit(X[:2], y[:2], p, noise=0.0)
+    assert m.jitter == 0.0 and np.array_equal(m.chol, np.eye(2))
+    grown = gp_extend(m, X, y)
+    fresh = gp_fit(X, y, p, noise=0.0)
+    assert grown.jitter == fresh.jitter > 0.0
+    assert np.array_equal(grown.chol, fresh.chol) and np.array_equal(grown.chol_inv, fresh.chol_inv)
+
+
+def test_gp_extend_keeps_the_models_jitter():
+    X = np.array([[0.5], [0.5], [0.9]])
+    y = np.array([1.0, 1.0, -0.5])
+    p = KernelParams(1.0, 0.2)
+    m = gp_fit(X[:2], y[:2], p, noise=0.0)
+    assert m.jitter > 0.0
+    grown = gp_extend(m, X, y)
+    assert grown.jitter == m.jitter
+    K = ref_kernel_matrix(X, X, 1.0, 0.2) + m.jitter * np.eye(3)
+    np.testing.assert_allclose(grown.chol @ grown.chol.T, K, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        np.array([[0.1, 0.2], [0.9, 0.4]]),  # first row changed
+        np.array([[0.1, 0.3]]),  # fewer rows than the model
+        np.array([[0.1, 0.3, 0.0], [0.7, 0.6, 0.0], [0.2, 0.2, 0.0]]),  # another dimension
+    ],
+    ids=["changed-row", "fewer-rows", "wider"],
+)
+def test_gp_extend_rejects_rows_that_do_not_extend_the_model(X):
+    m = gp_fit(np.array([[0.1, 0.3], [0.7, 0.6]]), np.array([0.0, 1.0]), KernelParams(1.0, 0.5), 1e-6)
+    with pytest.raises(ValueError, match="must start with the model's 2 inputs"):
+        gp_extend(m, X, np.zeros(len(X)))
+
+
+def test_gp_extend_checks_its_targets():
+    m = gp_fit(np.array([[0.1]]), np.array([0.0]), KernelParams(1.0, 0.5), 1e-6)
+    with pytest.raises(ValueError, match="2 inputs but 1 targets"):
+        gp_extend(m, np.array([[0.1], [0.2]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        gp_extend(m, np.array([[0.1], [0.2]]), np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("lengthscale", [1.0 / 16, 0.3, 1.0, 16.0])
+def test_cross_kernel_matches_reference(lengthscale):
+    # Gram form against the per-pair loop: at zero distance (where the
+    # expansion cancels and is clamped), at 48 lengthscales (exp underflows
+    # to 0) and at random pairs in the unit cube
+    rng = np.random.default_rng(53)
+    X = rng.random((7, 4))
+    Q = np.vstack([X[:3], X[:2] + 48.0 * lengthscale / 2.0, rng.random((5, 4))])
+    p = KernelParams(1.7, lengthscale)
+    K = _cross_kernel(p, X, Q)
+    expected = ref_kernel_matrix(X, Q, 1.7, lengthscale)
+    np.testing.assert_allclose(K, expected, rtol=1e-12, atol=1e-300)
+    assert np.all(np.diag(K[:3, :3]) <= 1.7)
+    np.testing.assert_allclose(np.diag(K[:3, :3]), 1.7, rtol=1e-13)
+    assert np.all(K[:2, 3:5].diagonal() == 0.0)
 
 
 def _random_design():

@@ -279,7 +279,34 @@ def test_config_checks_each_field_against_its_annotation(field, value, message):
         small_config(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("test_fraction", 0.0, r"^test_fraction must be in \(0, 1\), got 0\.0$"),
+        ("test_fraction", 1, r"^test_fraction must be in \(0, 1\), got 1$"),
+        ("test_fraction", float("nan"), r"^test_fraction must be in \(0, 1\), got nan$"),
+        ("smote_k", 0, r"^smote_k must be >= 1, got 0$"),
+        ("smote_ratio", 0.0, r"^smote_ratio must be in \(0, 1\], got 0\.0$"),
+        ("smote_ratio", 1.5, r"^smote_ratio must be in \(0, 1\], got 1\.5$"),
+        ("budget", 0, r"^budget must be >= 1, got 0$"),
+        ("n_init", 0, r"^n_init must be >= 1, got 0$"),
+        ("cv_folds", 1, r"^cv_folds must be >= 2, got 1$"),
+        ("n_candidates", 0, r"^n_candidates must be >= 1, got 0$"),
+        ("n_threads", 0, r"^n_threads must be >= 1, got 0$"),
+        ("n_threads", -2, r"^n_threads must be >= 1, got -2$"),
+    ],
+)
+def test_config_rejects_a_value_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        small_config(**{field: value})
+
+
+def test_config_takes_the_range_edges():
+    cfg = small_config(smote_k=1, smote_ratio=1, budget=1, n_init=1, cv_folds=2, n_candidates=1, n_threads=1)
+    assert (cfg.smote_k, cfg.budget, cfg.cv_folds) == (1, 1, 2)
+
+
 def test_config_takes_an_int_for_a_float_a_path_and_none_where_optional(tmp_path):
-    cfg = small_config(smote_ratio=2, test_fraction=np.float64(0.25), seed=np.int64(3),
+    cfg = small_config(smote_ratio=1, test_fraction=np.float64(0.25), seed=np.int64(3),
                        data_path=tmp_path, n_init=None, negative_label=None)
-    assert cfg.smote_ratio == 2 and cfg.data_path == tmp_path
+    assert cfg.smote_ratio == 1 and cfg.data_path == tmp_path
