@@ -2,7 +2,9 @@
 
 Each feature column of a training matrix is sorted once (SLIQ, Mehta,
 Agrawal & Rissanen 1996): the root's row orders are the training set's
-``Dataset.column_order``, which every fit on that dataset shares, and a
+``Dataset.column_order``, which every fit on that dataset shares, and the
+split search reads each feature's values from ``Dataset.features.T``, a
+C-contiguous view of the column-major matrix, so a fit copies neither. A
 split stable-partitions its node's orders into fresh arrays for the two
 children, so that both keep their rows in ascending feature order and the
 shared sort is never written. The split search at a node therefore scans
@@ -235,7 +237,7 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
         raise ValueError(f"{n_rows} training rows exceed the limit of {_MAX_ROWS} rows")
     m_feat = ceil(hp.max_features_fraction * n_features)
     rng = np.random.default_rng(seed)
-    columns = np.ascontiguousarray(X.T)
+    columns = X.T  # Dataset keeps features column-major: one contiguous row per feature
     attack = y.astype(np.float64)
     goes_left = np.zeros(n_rows, dtype=bool)
     pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None

@@ -7,10 +7,17 @@ the class-imbalance statistics the rest of the pipeline is built around.
 
 ``load_flows`` has two readers. Plain rows (no quotes, LF or CRLF endings,
 every row as wide as the header) are split a chunk at a time with string
-methods and parsed by one ``np.array(..., dtype=np.float64)`` per chunk.
+methods and parsed by one ``np.array(..., dtype=np.float64)`` per feature
+and chunk.
 Any other file, and any file with a bad row, is read by a ``csv.reader``
 loop from the first row; that loop alone reports row errors, so both
 readers give the same Dataset or the same message.
+
+A Dataset holds its features column-major (Fortran order), the layout the
+tree grows from: ``features.T`` is a C-contiguous (n_features, n_rows)
+view, one contiguous array per feature. Its producers (both readers,
+``Dataset.take``, SMOTE, scaling and the synthetic generator) build that
+layout directly, so a Dataset copies its matrix only when handed another.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ __all__ = [
 class Dataset:
     """Immutable labeled feature matrix.
 
-    features : (M, N) float array, all values finite
+    features : (M, N) float64 array, all values finite, read-only and
+               column-major (Fortran order), so that ``features.T`` is a
+               C-contiguous view; any other matrix is copied into that layout
     labels   : (M,) int64 array, 0 = normal, 1 = attack; any label that does
                not equal 0 or 1 as given is an error
     feature_names : N column names
@@ -48,7 +57,7 @@ class Dataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
+        feats = np.asfortranarray(self.features, dtype=np.float64)
         given = np.asarray(self.labels)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
@@ -88,7 +97,8 @@ class Dataset:
     @cached_property
     def column_order(self) -> np.ndarray:
         """Read-only row order of each feature column, (n_features, n_rows),
-        computed on first use; every tree fit on this dataset shares it.
+        computed on first use by one argsort per contiguous column of
+        ``features``; every tree fit on this dataset shares it.
 
         Equal values may come in any order: the split search reads class
         counts only where the value changes, so a tree does not depend on
@@ -112,7 +122,10 @@ class Dataset:
         idx = np.asarray(indices)
         if idx.dtype.kind not in "iu":
             raise TypeError(f"row indices must have an integer dtype, got {idx.dtype}")
-        return Dataset(self.features[idx], self.labels[idx], self.feature_names)
+        # np.take fills a C-ordered (n_features, len(idx)) result: its
+        # transpose is column-major, where features[idx] would be row-major
+        columns = np.take(self.features.T, idx, axis=1)
+        return Dataset(columns.T, self.labels[idx], self.feature_names)
 
 
 @dataclass(frozen=True)
@@ -147,16 +160,19 @@ def load_flows(
     rows (the header is row 0). Label cells are stripped, so a label
     argument that is empty or has surrounding whitespace, or a
     ``negative_label`` equal to ``positive_label``, is rejected before the
-    file is read. Cells are parsed into one float64 buffer, 8 bytes per
-    cell, which becomes the feature matrix without a copy.
+    file is read.
 
     Two readers share the header and the checks after the last row. Plain
-    rows are split about 32 KiB at a time, and each chunk's feature cells
-    are parsed by one ``np.array(cells, dtype=np.float64)``, which calls
-    ``float()`` on each. A quote, a lone CR or NUL, a row of the wrong
+    rows are split about 32 KiB at a time, and each chunk's cells of a
+    feature are parsed by one ``np.array(cells, dtype=np.float64)``, which
+    calls ``float()`` on each. A quote, a lone CR or NUL, a row of the wrong
     width, or a cell or label the ``csv.reader`` loop would reject sends
     the file back to that loop from the first row: it reads every quoted
-    or irregular file and raises every error about a row.
+    or irregular file and raises every error about a row. Both readers
+    append each feature's cells to that feature's float64 buffer, 8 bytes
+    per cell; the buffers are then copied one at a time into the
+    column-major feature matrix, each freed once copied, so a load peaks
+    at about the matrix plus one column.
     """
     _check_labels(positive_label, negative_label)
     if isinstance(feature_columns, str):
@@ -174,12 +190,12 @@ def load_flows(
 
         plain = _read_plain(fh, n_header, label_pos, feat_pos, positive_label, negative_label)
         if plain is not None:
-            cells, labels = plain
+            columns, labels = plain
         else:
             fh.seek(0)
             next(reader)
             negative = negative_label
-            cells = array("d")
+            columns = [array("d") for _ in feat_pos]
             labels = bytearray()
             for rownum, rec in enumerate(reader, start=1):
                 if len(rec) != n_header:
@@ -203,14 +219,18 @@ def load_flows(
                         )
                     label = 0
                 try:
-                    cells.extend([float(rec[p]) for p in feat_pos])
+                    for column, p in zip(columns, feat_pos):
+                        column.append(float(rec[p]))
                 except ValueError:
                     _raise_bad_cell(path, rownum, rec, feat_names, feat_pos)
                 labels.append(label)
 
     if not labels:
         raise ValueError(f"{path}: no data rows")
-    features = np.frombuffer(cells, dtype=np.float64).reshape(-1, len(feat_pos))
+    features = np.empty((len(labels), len(columns)), order="F")
+    for j in range(len(columns)):
+        features[:, j] = np.frombuffer(columns[j], dtype=np.float64)
+        columns[j] = None  # freed once copied: the load peaks at the matrix plus one column
     try:
         return Dataset(features, np.frombuffer(labels, dtype=np.uint8), tuple(feat_names))
     except ValueError as exc:  # a non-finite cell: Dataset names its row and column
@@ -258,16 +278,15 @@ _CHUNK_CHARS = 32 * 1024
 
 
 def _read_plain(fh, n_header, label_pos, feat_pos, positive, negative):
-    """The cells and labels of the rows left in ``fh``, or None where the
-    csv loop must read the file.
+    """One float64 buffer of cells per feature and the labels of the rows
+    left in ``fh``, or None where the csv loop must read the file.
 
     Only commas, quotes, CR, LF and NUL are special to ``csv.reader`` here,
     so a chunk no longer than the csv field limit, without quotes, lone CRs
     or NULs, whose rows each hold ``n_header - 1`` commas (a blank line
     holds none), splits into the same cells.
     """
-    n_feat = len(feat_pos)
-    cells, labels = array("d"), bytearray()
+    columns, labels = [array("d") for _ in feat_pos], bytearray()
     label_of = {}
     rest = ""
     while True:
@@ -278,7 +297,7 @@ def _read_plain(fh, n_header, label_pos, feat_pos, positive, negative):
         if not block:
             if text:
                 continue
-            return cells, labels
+            return columns, labels
         if '"' in block or "\r" in block or "\0" in block or len(block) > csv.field_size_limit():
             return None
         rows = block.removesuffix("\n").split("\n")
@@ -294,14 +313,12 @@ def _read_plain(fh, n_header, label_pos, feat_pos, positive, negative):
                 if not name or name != negative:
                     return None
             label_of[cell] = int(name == positive)
-        ordered = [""] * (len(rows) * n_feat)
-        for j, p in enumerate(feat_pos):
-            ordered[j::n_feat] = flat[p::n_header]
         try:
-            values = np.array(ordered, dtype=np.float64)
+            parsed = [np.array(flat[p::n_header], dtype=np.float64) for p in feat_pos]
         except ValueError:
             return None
-        cells.frombytes(values.view(np.uint8))
+        for column, values in zip(columns, parsed):
+            column.frombytes(values.view(np.uint8))
         labels += bytes(map(label_of.__getitem__, raw))
 
 

@@ -107,8 +107,11 @@ def pca2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Components are orthonormal rows with the sign fixed so the
     largest-magnitude entry of each is positive; explained variances are the
     top two eigenvalues of the sample covariance, in nonincreasing order.
+    The rows are read in C order whatever the layout of ``m`` (a
+    column-major matrix is copied), because the column means and products
+    sum in a layout-dependent order and the result must not depend on it.
     """
-    m = np.asarray(m, dtype=np.float64)
+    m = np.ascontiguousarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] < 2:
         raise ValueError(f"need at least a 2 x 2 matrix, got shape {m.shape}")
     if np.all(np.ptp(m, axis=0) == 0.0):

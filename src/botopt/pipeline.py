@@ -185,7 +185,7 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
         raise ValueError(f"need at least 2 folds, got {k}")
     rng = np.random.default_rng(seed)
     folds: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for cls in np.unique(labels):
+    for cls in np.flatnonzero(np.bincount(labels)):  # the classes that have rows, ascending
         members = rng.permutation(np.flatnonzero(labels == cls))
         if members.size < k:
             raise ValueError(f"class {int(cls)} has {members.size} rows, fewer than {k} folds")
@@ -210,10 +210,11 @@ def make_cv_objective(
     validation folds stay untouched so synthetic rows never leak into
     scoring.
     """
-    all_idx = np.arange(train.n_rows)
     prepared: list[tuple[Dataset, Dataset]] = []
     for j, val_idx in enumerate(folds):
-        tr_idx = np.setdiff1d(all_idx, val_idx, assume_unique=False)
+        in_train = np.ones(train.n_rows, dtype=bool)
+        in_train[val_idx] = False
+        tr_idx = np.flatnonzero(in_train)
         fold_train = train.take(tr_idx)
         aug = smote(fold_train, replace(smote_cfg, seed=smote_cfg.seed + j))
         prepared.append((aug, train.take(val_idx)))
@@ -230,7 +231,10 @@ def make_cv_objective(
 
 
 def _assert_no_leakage(split: SplitPair, total_rows: int) -> None:
-    overlap = np.intersect1d(split.train_indices, split.test_indices)
+    in_train, in_test = np.zeros((2, total_rows), dtype=bool)
+    in_train[split.train_indices] = True
+    in_test[split.test_indices] = True
+    overlap = np.flatnonzero(in_train & in_test)
     if overlap.size > 0:
         raise AssertionError(f"train/test overlap on source rows {overlap[:5]}")
     if split.train_indices.size + split.test_indices.size != total_rows:

@@ -181,9 +181,14 @@ def smote_audit(
 
     nb_choices = neighbor_table[seed_choices, neighbor_ranks]
     base = pts[seed_choices]
-    synth = base + lams[:, None] * (pts[nb_choices] - base)
-
-    features = np.vstack([d.features, synth])
+    # the column-major output that Dataset keeps, filled in place: the
+    # synthetic rows are base + lams * (neighbor - base), bit for bit
+    features = np.empty((d.n_rows + n_syn, d.n_features), order="F")
+    features[: d.n_rows] = d.features
+    synth = features[d.n_rows :]
+    np.subtract(pts[nb_choices], base, out=synth)
+    synth *= lams[:, None]
+    synth += base
     labels = np.concatenate([d.labels, np.full(n_syn, minority, dtype=np.int64)])
     out = Dataset(features, labels, d.feature_names)
     return out, min_idx[seed_choices], min_idx[nb_choices], lams

@@ -41,4 +41,7 @@ def gaussian_clusters(
     labels = np.concatenate([np.ones(n_attack, dtype=np.int64), np.zeros(n_normal, dtype=np.int64)])
     order = rng.permutation(features.shape[0])
     names = tuple(f"f{i}" for i in range(n_features))
-    return Dataset(features[order], labels[order], names)
+    # np.take's C-ordered (n_features, rows) result is the column-major
+    # matrix Dataset keeps, so it makes no copy of its own
+    columns = np.take(features.T, order, axis=1)
+    return Dataset(columns.T, labels[order], names)

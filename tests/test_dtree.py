@@ -1,5 +1,6 @@
 import gc
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ from botopt.dtree import (
     predict_many,
 )
 from botopt.ingest import Dataset
+from botopt.synthetic import gaussian_clusters
 
 from reference import ref_best_split, ref_fit_tree, ref_gini_fraction, same_tree
 
@@ -293,6 +295,22 @@ def test_fits_share_the_datasets_column_order():
     for f in range(3):
         assert np.array_equal(np.sort(order[f]), np.arange(300))
         assert np.all(np.diff(X[order[f], f]) >= 0)
+
+
+def test_a_fit_on_a_warm_column_order_copies_no_feature_matrix():
+    # features.T is the split search's columns as they are; a copy of the
+    # matrix would add features.nbytes to the fit's peak (about 1.4 times
+    # features.nbytes without it), which the root's partition sets: np.take
+    # casts the int32 orders to intp, features.nbytes, beside the bool mask
+    d = gaussian_clusters(40_000, 2_000, seed=1, n_features=10)
+    d.column_order
+    tracemalloc.start()
+    try:
+        fit_tree(d, HP_OPEN, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * d.features.nbytes
 
 
 def test_fit_leaves_no_reference_cycles():

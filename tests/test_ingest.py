@@ -372,13 +372,61 @@ def test_dataset_rejects_non_finite():
 
 
 def test_dataset_names_value_row_and_column_of_a_non_finite_cell():
-    # worded like the loaders: 1-based row and the column's name
+    # worded like the loaders: 1-based row and the column's name; of two bad
+    # cells the first in row-major order, whatever the matrix's layout
     feats = np.array([[1.0, 2.0], [3.0, np.nan], [np.inf, 4.0]])
-    with pytest.raises(ValueError, match=r"^non-finite value nan at row 2, column 'b'$"):
-        Dataset(feats, np.array([0, 1, 0]), ("a", "b"))
+    for given in (feats, np.asfortranarray(feats)):
+        with pytest.raises(ValueError, match=r"^non-finite value nan at row 2, column 'b'$"):
+            Dataset(given, np.array([0, 1, 0]), ("a", "b"))
     # a wrong number of names is reported before any cell
     with pytest.raises(ValueError, match="1 feature names for 2 feature columns"):
         Dataset(feats, np.array([0, 1, 0]), ("a",))
+
+
+def assert_column_major(d):
+    """Features the tree can read as d.features.T without a copy."""
+    assert d.features.flags.f_contiguous and not d.features.flags.c_contiguous
+    assert not d.features.flags.writeable
+    assert d.features.T.flags.c_contiguous
+
+
+def test_dataset_stores_a_row_major_matrix_column_major():
+    given = np.arange(12.0).reshape(4, 3)
+    d = Dataset(given, np.array([0, 1, 0, 1]), ("a", "b", "c"))
+    assert_column_major(d)
+    assert np.array_equal(d.features, given)
+
+
+def test_dataset_keeps_a_column_major_matrix_without_a_copy():
+    given = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+    d = Dataset(given, np.array([0, 1, 0, 1]), ("a", "b", "c"))
+    assert d.features is given
+    assert_column_major(d)
+
+
+@pytest.mark.parametrize("indices", [[5, 0, 3, 3, 1], np.array([4, 2], dtype=np.int32), [-1, 0]])
+def test_dataset_take_is_column_major(indices):
+    d = gaussian_clusters(4, 2, seed=1, n_features=3)
+    sub = d.take(indices)
+    assert_column_major(sub)
+    assert np.array_equal(sub.features, d.features[indices])
+    assert np.array_equal(sub.labels, d.labels[indices])
+
+
+def test_gaussian_clusters_are_column_major():
+    assert_column_major(gaussian_clusters(30, 10, seed=4, n_features=3))
+
+
+@pytest.mark.parametrize("reader", ["plain", "csv loop"])
+def test_load_flows_gives_column_major_features(tmp_path, monkeypatch, reader):
+    d = gaussian_clusters(300, 30, seed=4, n_features=4)
+    p = tmp_path / "flows.csv"
+    write_flows(d, p)
+    if reader == "csv loop":
+        monkeypatch.setattr(ingest, "_read_plain", lambda *args: None)
+    back = load_flows(p, "label", "attack", feature_columns=["f3", "f0", "f2"])
+    assert_column_major(back)
+    assert back.features.tobytes() == np.ascontiguousarray(d.features[:, [3, 0, 2]]).tobytes()
 
 
 @pytest.mark.parametrize("label, text", [(2, "2"), (-1, "-1"), (0.4, "0.4"), (1.99, "1.99")])

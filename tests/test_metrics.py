@@ -137,6 +137,14 @@ def test_pca2_matches_eigendecomposition_oracle():
     np.testing.assert_allclose(explained, ref_explained, atol=1e-6)
 
 
+def test_pca2_does_not_depend_on_the_layout_of_its_input():
+    # Dataset features are column-major; pca2 must give the bits it gives
+    # for the same matrix in row-major order
+    m = np.random.default_rng(3).standard_normal((200, 10)) * np.arange(1, 11) + 5.0
+    for got, want in zip(pca2(np.asfortranarray(m)), pca2(m)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_pca2_components_orthonormal_and_variance_ordered():
     rng = np.random.default_rng(21)
     m = rng.standard_normal((40, 6))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,3 +314,45 @@ def test_config_takes_an_int_for_a_float_a_path_and_none_where_optional(tmp_path
     cfg = small_config(smote_ratio=1, test_fraction=np.float64(0.25), seed=np.int64(3),
                        data_path=tmp_path, n_init=None, negative_label=None)
     assert cfg.smote_ratio == 1 and cfg.data_path == tmp_path
+
+
+# A run and an eval in a fresh process, reporting whether numpy.ma has been
+# imported after `import numpy`, after run_pipeline and after `botopt eval`.
+MA_PROBE = """
+import contextlib, io, json, sys
+import numpy
+at_import = "numpy.ma" in sys.modules
+from botopt import PipelineConfig, gaussian_clusters, run_pipeline, write_flows
+from botopt.cli import main
+d = gaussian_clusters(300, 40, seed=1, n_features=3)
+run_pipeline(PipelineConfig(seed=0, budget=10, cv_folds=3), dataset=d)
+after_run = "numpy.ma" in sys.modules
+write_flows(d, sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["eval", "--data", sys.argv[1], "--seed", "0"])
+print(json.dumps([at_import, after_run, code, "numpy.ma" in sys.modules]))
+"""
+
+
+def test_a_run_and_an_eval_never_import_numpy_ma(tmp_path):
+    # np.unique, np.setdiff1d and np.intersect1d import numpy.ma on first
+    # use, which costs 13-16 ms of every run on a 2-vCPU VM; the pipeline
+    # needs none of them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", MA_PROBE, str(tmp_path / "flows.csv")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    at_import, after_run, code, after_eval = json.loads(done.stdout)
+    if at_import:
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert code == 0
+    assert not after_run, "run_pipeline imported numpy.ma"
+    assert not after_eval, "botopt eval imported numpy.ma"
+
+
+def test_stratified_kfold_skips_a_class_with_no_rows():
+    # class 0 has no rows: it is neither dealt nor rejected as too small
+    folds = stratified_kfold(np.ones(6, dtype=np.int64), 3, seed=0)
+    assert [f.tolist() for f in folds] == [[3, 4], [0, 2], [1, 5]]

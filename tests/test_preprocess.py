@@ -13,6 +13,7 @@ from botopt.preprocess import (
     SmoteConfig,
     apply_minmax,
     fit_minmax,
+    scale_dataset,
     smote,
     smote_audit,
 )
@@ -329,3 +330,15 @@ def test_neighbor_search_holds_no_dense_difference_tensor():
         tracemalloc.stop()
     assert peak < preprocess._KNN_CHUNK_BYTES
 
+
+def test_scaled_and_oversampled_datasets_are_column_major():
+    # the layout Dataset keeps, built by each producer without a second copy
+    rng = np.random.default_rng(5)
+    d = dataset(rng.random((40, 3)) * 9.0, [1] * 34 + [0] * 6)
+    for out in (scale_dataset(fit_minmax(d), d), smote(d, SmoteConfig(k=3, seed=2))):
+        assert out.features.flags.f_contiguous and not out.features.flags.c_contiguous
+        assert not out.features.flags.writeable
+    aug, seeds, neighbors, lams = smote_audit(d, SmoteConfig(k=3, seed=2))
+    assert aug.n_rows == 68
+    base = d.features[seeds]
+    assert aug.features[40:].tobytes() == (base + lams[:, None] * (d.features[neighbors] - base)).tobytes()
