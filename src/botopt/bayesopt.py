@@ -5,11 +5,12 @@ then each iteration fits a GP to all observations (targets standardized to
 zero mean and unit variance), maximizes Expected Improvement over a cloud
 of uniform random candidates in the unit cube, and evaluates the winner.
 The GP is used through its public calls only, at the observation noise
-DEFAULT_NOISE: ``tune_kernel`` picks the kernel on the first proposal step
-and every RETUNE_EVERY steps after it, and ``gp_fit`` factorizes afresh
-with it; on the steps in between, ``gp_extend`` grows the last model's
-factors by the one new trial, so at most RETUNE_EVERY - 1 bordered rows
-pile up before the next fresh factorization.
+DEFAULT_NOISE: on the first proposal step and every RETUNE_EVERY steps
+after it, ``tune_kernel`` picks the lengthscale by the profile likelihood,
+with the signal variance in closed form, and ``gp_fit`` factorizes afresh
+with that kernel; on the steps in between, ``gp_extend`` grows the last
+model's factor by the one new trial, so at most RETUNE_EVERY - 1 bordered
+rows pile up before the next fresh factorization.
 Integer dimensions are optimized continuously and rounded at evaluation
 time; rounded configurations are cached so a duplicate proposal never
 re-runs the objective.

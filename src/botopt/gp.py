@@ -3,15 +3,19 @@
 A fit is one Cholesky factorization of [[K + noise*I, y'], [y'^T, c]], with
 y' = y 2^-e below 1 in magnitude and c the largest float64: the factor's
 top-left block is L (L L^T = K + noise*I) and its last row is L^-1 y', so
-w = L^-1 y takes no triangular solve. The fit also inverts L once, so a
-prediction is one matrix product: posterior mean at q is v^T w and variance
-k(q,q) - ||v||^2, with v = L^-1 k*. The prior mean is zero; callers who want
-a non-zero prior standardize their targets before fitting.
+w = L^-1 y takes no triangular solve. The fit inverts L once and keeps only
+L^-1, so a prediction is one matrix product: posterior mean at q is v^T w
+and variance k(q,q) - ||v||^2, with v = L^-1 k*. The prior mean is zero;
+callers who want a non-zero prior standardize their targets before fitting.
 
 With the kernel held fixed, ``gp_extend`` adds rows to a fitted model by the
 bordered Cholesky step (Rasmussen & Williams, GPML, 2006, Alg. 2.1 and
-App. A.3): each new row borders L and L^-1 in O(t^2), where a new fit costs
+App. A.3): each new row borders L^-1 in O(t^2), where a new fit costs
 O(t^3).
+
+``tune_kernel`` maximizes the profile likelihood (GPML Sec. 5.4; Jones,
+Schonlau & Welch, J. Global Optim., 1998): one factorization per candidate
+lengthscale, with the signal variance in closed form.
 
 Distances between the inputs are summed feature by feature (``_sqdist``);
 the kernel between inputs and query points comes from the Gram form
@@ -56,15 +60,14 @@ class KernelParams:
 @dataclass(frozen=True)
 class GPModel:
     """Fitted GP state. noise is the requested observation noise; jitter is
-    any extra diagonal added to rescue the factorization, so
-    chol @ chol.T == K + (noise + jitter) * I, chol_inv @ chol == I, and
-    chol @ w == y for the fitted targets y."""
+    any extra diagonal added to rescue the factorization. chol_inv is L^-1,
+    the inverse of the lower Cholesky factor L of K + (noise + jitter) * I,
+    and w == chol_inv @ y for the fitted targets y."""
 
     X: np.ndarray
     kernel: KernelParams
     noise: float
     jitter: float
-    chol: np.ndarray
     chol_inv: np.ndarray
     w: np.ndarray
 
@@ -147,12 +150,12 @@ def gp_fit(X: np.ndarray, y: np.ndarray, p: KernelParams, noise: float) -> GPMod
     y = _targets(X, y, noise)
     jitter, chol, w = _factor(_rbf(p, _sqdist(X, X)), y, noise)
     chol_inv = np.tril(np.linalg.inv(chol))  # inv pivots, leaving rounding above the diagonal
-    return GPModel(X=X, kernel=p, noise=noise, jitter=jitter, chol=chol, chol_inv=chol_inv, w=w)
+    return GPModel(X=X, kernel=p, noise=noise, jitter=jitter, chol_inv=chol_inv, w=w)
 
 
 def gp_extend(m: GPModel, X: np.ndarray, y: np.ndarray) -> GPModel:
     """gp_fit(X, y, m.kernel, m.noise) for an X whose first len(m.X) rows
-    are m.X, by bordering m's factors with one row per new input and keeping
+    are m.X, by bordering m's L^-1 with one row per new input and keeping
     m's jitter. New targets y may differ from m's throughout. Falls back to
     gp_fit, and its jitter ladder, when a new pivot is not positive."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -161,9 +164,7 @@ def gp_extend(m: GPModel, X: np.ndarray, y: np.ndarray) -> GPModel:
         raise ValueError(f"X must start with the model's {t0} inputs")
     y = _targets(X, y, m.noise)
     p = m.kernel
-    L = np.zeros((t, t))
     L_inv = np.zeros((t, t))
-    L[:t0, :t0] = m.chol
     L_inv[:t0, :t0] = m.chol_inv
     pivot = p.signal_variance + (m.noise + m.jitter)  # the full fit's diagonal
     for r in range(t0, t):
@@ -171,12 +172,11 @@ def gp_extend(m: GPModel, X: np.ndarray, y: np.ndarray) -> GPModel:
         d2 = pivot - float(l @ l)
         if not d2 > 0.0:
             return gp_fit(X, y, p, m.noise)
-        d = sqrt(d2)
-        L[r, :r], L[r, r] = l, d
+        d = sqrt(d2)  # L gains the row [l^T, d]
         L_inv[r, :r], L_inv[r, r] = (l @ L_inv[:r, :r]) / -d, 1.0 / d
     e = _exponent(y)
     w = np.ldexp(L_inv @ np.ldexp(y, -e), e)
-    return GPModel(X=X, kernel=p, noise=m.noise, jitter=m.jitter, chol=L, chol_inv=L_inv, w=w)
+    return GPModel(X=X, kernel=p, noise=m.noise, jitter=m.jitter, chol_inv=L_inv, w=w)
 
 
 def gp_predict_batch(m: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,50 +190,41 @@ def gp_predict_batch(m: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return mean, var
 
 
-def _evidence(chol: np.ndarray, w: np.ndarray) -> float:
-    t = w.shape[0]
-    return float(
-        -0.5 * float(w @ w)
-        - float(np.sum(np.log(np.diag(chol))))
-        - 0.5 * t * log(2.0 * pi)
-    )
-
-
 def log_marginal_likelihood(m: GPModel) -> float:
-    """-1/2 w^T w - sum(log diag L) - t/2 log(2 pi), where w^T w = y^T (K + noise*I)^-1 y."""
-    return _evidence(m.chol, m.w)
+    """-1/2 w^T w + sum(log diag L^-1) - t/2 log(2 pi), where w^T w = y^T (K + noise*I)^-1 y."""
+    w = m.w
+    return float(-0.5 * (w @ w) + np.sum(np.log(np.diag(m.chol_inv))) - 0.5 * len(w) * log(2.0 * pi))
 
 
-def tune_kernel(
-    X: np.ndarray, y: np.ndarray, grid: list[KernelParams], noise: float
-) -> KernelParams:
-    """Grid member maximizing the evidence; earliest grid order wins ties.
-    The squared distances between the rows of X are computed once and
-    shared by every candidate's fit."""
+def tune_kernel(X: np.ndarray, y: np.ndarray, grid: list[float], noise: float) -> KernelParams:
+    """KernelParams(s, l) with the highest evidence over the lengthscales l
+    in grid, the signal variance s profiled out: with K = s (R + g I), R the
+    unit-variance kernel and g = noise a nugget relative to s, the evidence
+    peaks at s = y^T (R + g I)^-1 y / t = w.w / t (1 for all-zero targets),
+    where it is -t/2 log s - sum(log diag L) up to a constant. One
+    factorization of R + g I per lengthscale; the earliest lengthscale wins
+    ties, and one whose factorization fails is skipped."""
     if not grid:
         raise ValueError("kernel grid is empty")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     y = _targets(X, y, noise)
+    t = y.shape[0]
     sq = _sqdist(X, X)
-    best: KernelParams | None = None
-    best_lml = -np.inf
-    for cand in grid:
+    best, best_score = None, -np.inf
+    for lengthscale in grid:
         try:
-            _, chol, w = _factor(_rbf(cand, sq), y, noise)
+            _, chol, w = _factor(_rbf(KernelParams(1.0, lengthscale), sq), y, noise)
         except np.linalg.LinAlgError:
             continue
-        lml = _evidence(chol, w)
-        if lml > best_lml:
-            best, best_lml = cand, lml
+        s = float(w @ w) / t or 1.0  # all-zero targets leave s free; 1 keeps it positive
+        score = -0.5 * t * log(s) - float(np.sum(np.log(np.diag(chol))))
+        if score > best_score:
+            best, best_score = KernelParams(s, lengthscale), score
     if best is None:
         raise np.linalg.LinAlgError("every kernel candidate failed to factorize")
     return best
 
 
-def default_kernel_grid() -> list[KernelParams]:
-    """Log-spaced grid: lengthscale 2^-4..2^4, signal variance 2^-2..2^2."""
-    return [
-        KernelParams(signal_variance=float(2.0**i), lengthscale=float(2.0**j))
-        for j in range(-4, 5)
-        for i in range(-2, 3)
-    ]
+def default_kernel_grid() -> list[float]:
+    """The lengthscales tune_kernel searches: 2^-4..2^4, log-spaced."""
+    return [float(2.0**j) for j in range(-4, 5)]

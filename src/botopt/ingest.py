@@ -46,7 +46,8 @@ class Dataset:
 
     features : (M, N) float64 array, all values finite, read-only and
                column-major (Fortran order), so that ``features.T`` is a
-               C-contiguous view; any other matrix is copied into that layout
+               C-contiguous view; any other matrix is copied into that layout,
+               and one already in it is kept as a read-only view
     labels   : (M,) int64 array, 0 = normal, 1 = attack; any label that does
                not equal 0 or 1 as given is an error
     feature_names : N column names
@@ -80,6 +81,7 @@ class Dataset:
             raise ValueError(
                 f"non-finite value {float(feats[i, j])} at row {i + 1}, column {names[j]!r}"
             )
+        feats, labels = feats.view(), labels.view()  # a caller's own arrays stay writable
         feats.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "features", feats)

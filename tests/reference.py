@@ -53,6 +53,17 @@ def ref_log_marginal_likelihood(X, y, signal_variance, lengthscale, noise):
     return float(-0.5 * y @ np.linalg.inv(K) @ y - 0.5 * logdet - 0.5 * t * math.log(2 * math.pi))
 
 
+def ref_profile_best(X, y, lengthscales, nugget, scales):
+    """The highest evidence over every pair of a signal variance s in scales
+    and a lengthscale, from ref_log_marginal_likelihood with the noise
+    nugget * s."""
+    return max(
+        ref_log_marginal_likelihood(X, y, float(s), ls, nugget * float(s))
+        for ls in lengthscales
+        for s in scales
+    )
+
+
 # --- Expected improvement ----------------------------------------------------
 
 def ref_expected_improvement(mean, std, best, xi=0.0):

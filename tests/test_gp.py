@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import botopt.gp
 from botopt.gp import (
     KernelParams,
     _cross_kernel,
@@ -20,6 +21,7 @@ from reference import (
     ref_gp_predict,
     ref_kernel_matrix,
     ref_log_marginal_likelihood,
+    ref_profile_best,
 )
 
 
@@ -62,7 +64,7 @@ def test_kernel_params_must_be_positive():
 
 def test_gp_fit_single_point_unit_kernel():
     m = gp_fit(np.array([[0.0]]), np.array([1.0]), KernelParams(1.0, 1.0), noise=0.0)
-    assert m.chol[0, 0] == pytest.approx(1.0)
+    assert m.chol_inv[0, 0] == pytest.approx(1.0)
     assert m.w[0] == pytest.approx(1.0)
     assert m.jitter == 0.0
 
@@ -75,7 +77,7 @@ def test_gp_fit_huge_targets_keep_jitter_zero():
     y = rng.standard_normal(12) * 1e200
     m = gp_fit(X, y, KernelParams(1.0, 0.3), noise=1e-6)
     assert m.jitter == 0.0
-    np.testing.assert_allclose(m.chol @ m.w, y, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(np.linalg.solve(m.chol_inv, m.w), y, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -98,7 +100,7 @@ def test_gp_fit_reconstructs_kernel_matrix():
     p = KernelParams(1.3, 0.6)
     m = gp_fit(X, y, p, noise=1e-4)
     K = ref_kernel_matrix(X, X, 1.3, 0.6) + (m.noise + m.jitter) * np.eye(5)
-    assert np.max(np.abs(m.chol @ m.chol.T - K)) < 1e-8
+    assert np.max(np.abs(m.chol_inv @ K @ m.chol_inv.T - np.eye(5))) < 1e-8
 
 
 def test_gp_predict_interpolates_training_points():
@@ -170,7 +172,8 @@ def test_lml_zero_targets_drop_data_fit_term():
     X = rng.random((4, 2))
     p = KernelParams(1.2, 0.7)
     m = gp_fit(X, np.zeros(4), p, noise=1e-3)
-    expected = -float(np.sum(np.log(np.diag(m.chol)))) - 2.0 * math.log(2 * math.pi)
+    _, logdet = np.linalg.slogdet(ref_kernel_matrix(X, X, 1.2, 0.7) + 1e-3 * np.eye(4))
+    expected = -0.5 * logdet - 2.0 * math.log(2 * math.pi)
     assert log_marginal_likelihood(m) == pytest.approx(expected, abs=1e-12)
 
 
@@ -186,8 +189,11 @@ def test_lml_matches_dense_oracle():
 def test_tune_kernel_singleton_grid():
     rng = np.random.default_rng(31)
     X, y = rng.random((5, 1)), rng.standard_normal(5)
-    only = KernelParams(1.0, 0.5)
-    assert tune_kernel(X, y, [only], 1e-6) is only
+    chosen = tune_kernel(X, y, [0.5], 1e-6)
+    assert chosen.lengthscale == 0.5
+    # the closed-form signal variance: w.w / t at the nugget 1e-6 relative to it
+    R = ref_kernel_matrix(X, X, 1.0, 0.5) + 1e-6 * np.eye(5)
+    assert chosen.signal_variance == pytest.approx(y @ np.linalg.inv(R) @ y / 5, rel=1e-9)
 
 
 # Sample pinned from a seeded draw of a GP with lengthscale 0.5 and unit
@@ -210,21 +216,17 @@ PINNED_Y = np.array(
 
 
 def test_tune_kernel_recovers_generating_lengthscale():
-    grid = [KernelParams(1.0, ls) for ls in (0.1, 0.5, 2.5)]
-    evidences = [
-        ref_log_marginal_likelihood(PINNED_X, PINNED_Y, 1.0, ls, 1e-6) for ls in (0.1, 0.5, 2.5)
-    ]
+    grid = (0.1, 0.5, 2.5)
+    evidences = [ref_log_marginal_likelihood(PINNED_X, PINNED_Y, 1.0, ls, 1e-6) for ls in grid]
     assert int(np.argmax(evidences)) == 1  # oracle agrees 0.5 wins
-    chosen = tune_kernel(PINNED_X, PINNED_Y, grid, 1e-6)
+    chosen = tune_kernel(PINNED_X, PINNED_Y, list(grid), 1e-6)
     assert chosen.lengthscale == 0.5
 
 
 def test_tune_kernel_tie_keeps_first():
-    rng = np.random.default_rng(37)
-    X, y = rng.random((4, 1)), rng.standard_normal(4)
-    first = KernelParams(1.0, 0.5)
-    duplicate = KernelParams(1.0, 0.5)
-    assert tune_kernel(X, y, [first, duplicate], 1e-6) is first
+    # one input: R = [[1]] at every lengthscale, so every score ties
+    X, y = np.array([[0.3]]), np.array([0.7])
+    assert tune_kernel(X, y, [2.0, 0.5, 8.0], 1e-6).lengthscale == 2.0
 
 
 @pytest.mark.parametrize("d", range(1, 11))
@@ -250,22 +252,23 @@ def test_gp_extend_matches_a_fresh_fit(k, t):
     fresh = gp_fit(X, y, p, 1e-2)
     grown = gp_extend(gp_fit(X[:k], rng.standard_normal(k), p, 1e-2), X, y)
     assert grown.jitter == fresh.jitter == 0.0
-    for a, b in ((grown.chol, fresh.chol), (grown.chol_inv, fresh.chol_inv), (grown.w, fresh.w)):
+    for a, b in ((grown.chol_inv, fresh.chol_inv), (grown.w, fresh.w)):
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
     Q = rng.random((50, 3))
     for a, b in zip(gp_predict_batch(grown, Q), gp_predict_batch(fresh, Q)):
         np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10)
-    assert np.array_equal(np.tril(grown.chol), grown.chol)
     assert np.array_equal(np.tril(grown.chol_inv), grown.chol_inv)
 
 
 @pytest.mark.parametrize("grow", [False, True])
 def test_chol_inv_inverts_chol(grow):
+    # against the Cholesky factor of the dense oracle kernel
     rng = np.random.default_rng(19)
     X, y = rng.random((30, 2)), rng.standard_normal(30)
     p = KernelParams(0.8, 0.3)
     m = gp_extend(gp_fit(X[:26], y[:26], p, 1e-4), X, y) if grow else gp_fit(X, y, p, 1e-4)
-    np.testing.assert_allclose(m.chol_inv @ m.chol, np.eye(30), rtol=0.0, atol=1e-10)
+    chol = np.linalg.cholesky(ref_kernel_matrix(X, X, 0.8, 0.3) + 1e-4 * np.eye(30))
+    np.testing.assert_allclose(m.chol_inv @ chol, np.eye(30), rtol=0.0, atol=1e-10)
 
 
 def test_gp_extend_by_no_rows_refits_the_targets_only():
@@ -273,8 +276,8 @@ def test_gp_extend_by_no_rows_refits_the_targets_only():
     X, y = rng.random((6, 2)), rng.standard_normal(6)
     m = gp_fit(X, rng.standard_normal(6), KernelParams(1.0, 0.5), 1e-3)
     same = gp_extend(m, X, y)
-    assert np.array_equal(same.chol, m.chol) and np.array_equal(same.chol_inv, m.chol_inv)
-    np.testing.assert_allclose(same.chol @ same.w, y, rtol=0.0, atol=1e-12)
+    assert np.array_equal(same.chol_inv, m.chol_inv)
+    np.testing.assert_allclose(same.w, same.chol_inv @ y, rtol=0.0, atol=1e-12)
 
 
 def test_gp_extend_duplicate_row_falls_back_to_the_jitter_ladder():
@@ -284,11 +287,11 @@ def test_gp_extend_duplicate_row_falls_back_to_the_jitter_ladder():
     y = np.array([1.0, -1.0, 0.5])
     p = KernelParams(1.0, 1.0 / 16)
     m = gp_fit(X[:2], y[:2], p, noise=0.0)
-    assert m.jitter == 0.0 and np.array_equal(m.chol, np.eye(2))
+    assert m.jitter == 0.0 and np.array_equal(m.chol_inv, np.eye(2))
     grown = gp_extend(m, X, y)
     fresh = gp_fit(X, y, p, noise=0.0)
     assert grown.jitter == fresh.jitter > 0.0
-    assert np.array_equal(grown.chol, fresh.chol) and np.array_equal(grown.chol_inv, fresh.chol_inv)
+    assert np.array_equal(grown.chol_inv, fresh.chol_inv)
 
 
 def test_gp_extend_keeps_the_models_jitter():
@@ -300,7 +303,8 @@ def test_gp_extend_keeps_the_models_jitter():
     grown = gp_extend(m, X, y)
     assert grown.jitter == m.jitter
     K = ref_kernel_matrix(X, X, 1.0, 0.2) + m.jitter * np.eye(3)
-    np.testing.assert_allclose(grown.chol @ grown.chol.T, K, rtol=0.0, atol=1e-14)
+    chol = np.linalg.inv(grown.chol_inv)
+    np.testing.assert_allclose(chol @ chol.T, K, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -345,7 +349,7 @@ def test_cross_kernel_matches_reference(lengthscale):
 
 def _random_design():
     rng = np.random.default_rng(41)
-    return rng.random((30, 4)), rng.standard_normal(30)
+    return rng.random((12, 3)), rng.standard_normal(12)
 
 
 def _duplicate_rows_design():
@@ -354,26 +358,66 @@ def _duplicate_rows_design():
     return X[[0, 1, 2, 0, 3, 4, 5, 2, 2]], rng.standard_normal(9)
 
 
-@pytest.mark.parametrize("design, noise", [(_random_design, 1e-6), (_duplicate_rows_design, 0.0)])
-def test_tune_kernel_matches_per_candidate_evidence(design, noise):
-    # every candidate fitted on its own; the grid twice over, so each best
-    # evidence is tied and the first copy must win
+@pytest.mark.parametrize("design", [_random_design, _duplicate_rows_design])
+def test_tune_kernel_matches_brute_force_profile(design):
+    # the closed-form signal variance against a fine log-grid of variances at
+    # every lengthscale, all through the dense-inverse evidence
     X, y = design()
-    grid = default_kernel_grid() + default_kernel_grid()
-    evidence, jitters = [], []
-    for cand in grid:
-        try:
-            m = gp_fit(X, y, cand, noise)
-        except np.linalg.LinAlgError:
-            evidence.append(-np.inf)
-            continue
-        evidence.append(log_marginal_likelihood(m))
-        jitters.append(m.jitter)
-    best = int(np.argmax(evidence))
-    assert best < len(grid) // 2
-    assert tune_kernel(X, y, grid, noise) is grid[best]
-    if noise == 0.0:
-        assert max(jitters) > 0.0  # repeated rows make plain factorizations fail
+    grid, nugget = default_kernel_grid(), 1e-6
+    chosen = tune_kernel(X, y, grid, nugget)
+    s, ls = chosen.signal_variance, chosen.lengthscale
+
+    def evidence(scale):
+        return ref_log_marginal_likelihood(X, y, scale, ls, nugget * scale)
+
+    # the duplicate rows' differing targets put s near 1e5
+    brute = ref_profile_best(X, y, grid, nugget, np.logspace(-2, 6, 321))
+    assert brute - 1e-9 <= evidence(s) < brute + 1e-2
+    assert evidence(s * (1 - 1e-3)) < evidence(s) > evidence(s * (1 + 1e-3))
+
+
+def test_tune_kernel_factors_once_per_lengthscale(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    X, y = _random_design()
+    tune_kernel(X, y, default_kernel_grid(), 1e-6)
+    assert calls == [(13, 13)] * len(default_kernel_grid())
+
+
+def test_tune_kernel_all_zero_targets():
+    # y = 0 leaves the evidence unbounded as s -> 0; s = 1 and the lengthscale
+    # the oracle evidence prefers at that variance
+    rng = np.random.default_rng(59)
+    X, grid = rng.random((8, 2)), [0.1, 0.3, 1.0]
+    chosen = tune_kernel(X, np.zeros(8), grid, 1e-3)
+    assert chosen.signal_variance == 1.0
+    evidences = [ref_log_marginal_likelihood(X, np.zeros(8), 1.0, ls, 1e-3) for ls in grid]
+    assert chosen.lengthscale == grid[int(np.argmax(evidences))]
+
+
+def test_tune_kernel_skips_a_lengthscale_whose_factorization_fails(monkeypatch):
+    X, y = _random_design()
+    grid = default_kernel_grid()
+    best = tune_kernel(X, y, grid, 1e-6).lengthscale
+    failing_at = {best}
+
+    def failing(K, *args):
+        if any(np.array_equal(K, _rbf(KernelParams(1.0, ls), _sqdist(X, X))) for ls in failing_at):
+            raise np.linalg.LinAlgError("forced")
+        return factor(K, *args)
+
+    factor = botopt.gp._factor
+    monkeypatch.setattr(botopt.gp, "_factor", failing)
+    assert tune_kernel(X, y, grid, 1e-6).lengthscale != best
+    failing_at.update(grid)
+    with pytest.raises(np.linalg.LinAlgError, match="every kernel candidate failed"):
+        tune_kernel(X, y, grid, 1e-6)
 
 
 def test_tune_kernel_empty_grid():
@@ -382,12 +426,7 @@ def test_tune_kernel_empty_grid():
 
 
 def test_default_kernel_grid_span():
-    grid = default_kernel_grid()
-    assert len(grid) == 45
-    lengthscales = {p.lengthscale for p in grid}
-    variances = {p.signal_variance for p in grid}
-    assert min(lengthscales) == 2.0**-4 and max(lengthscales) == 2.0**4
-    assert min(variances) == 2.0**-2 and max(variances) == 2.0**2
+    assert default_kernel_grid() == [2.0**j for j in range(-4, 5)]
 
 
 def test_gp_fit_rejects_bad_shapes():

@@ -400,8 +400,20 @@ def test_dataset_stores_a_row_major_matrix_column_major():
 def test_dataset_keeps_a_column_major_matrix_without_a_copy():
     given = np.asfortranarray(np.arange(12.0).reshape(4, 3))
     d = Dataset(given, np.array([0, 1, 0, 1]), ("a", "b", "c"))
-    assert d.features is given
+    assert np.shares_memory(d.features, given)
     assert_column_major(d)
+
+
+def test_dataset_leaves_the_callers_arrays_writable():
+    # a Dataset freezes views of arrays it keeps without a copy, not the
+    # caller's own arrays
+    given = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+    labels = np.array([0, 1, 0, 1], dtype=np.int64)
+    d = Dataset(given, labels, ("a", "b", "c"))
+    assert np.shares_memory(d.features, given) and np.shares_memory(d.labels, labels)
+    assert not d.features.flags.writeable and not d.labels.flags.writeable
+    given[0, 0] = 1.0
+    labels[0] = 1
 
 
 @pytest.mark.parametrize("indices", [[5, 0, 3, 3, 1], np.array([4, 2], dtype=np.int32), [-1, 0]])
