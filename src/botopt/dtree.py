@@ -5,11 +5,13 @@ Agrawal & Rissanen 1996): the root's row orders are the training set's
 ``Dataset.column_order``, which every fit on that dataset shares, and the
 split search reads each feature's values from ``Dataset.features.T``, a
 C-contiguous view of the column-major matrix, so a fit copies neither. A
-split stable-partitions its node's orders into fresh arrays for the two
-children, so that both keep their rows in ascending feature order and the
-shared sort is never written. The split search at a node therefore scans
-already-sorted rows and never sorts. Trees grow from an explicit stack, so
-their depth is not bounded by Python's recursion limit.
+split stable-partitions its node's orders into fresh arrays for those of
+its two children that can still split, so that they keep their rows in
+ascending feature order and the shared sort is never written; a child that
+cannot split gets no orders, only the class counts the split gives it. The
+split search at a node therefore scans already-sorted rows and never sorts.
+Trees grow from an explicit stack, so their depth is not bounded by
+Python's recursion limit.
 
 Labels are 0 (normal) and 1 (attack), which ``Dataset`` enforces. A split
 candidate is a cut between consecutive distinct sorted values of an allowed
@@ -176,11 +178,12 @@ def _serves(record, min_leaf, n):
     return min_leaf <= record[0] and record[1] <= n - min_leaf
 
 
-def _node_split(columns, attack, order, features, min_leaf, pool, memo, path):
-    """Best (feature, threshold, n_left, score S) of one node, or None when no
-    cut has a positive Gini decrease (2 S / n^2). The split sends
-    ``order[f][:n_left]`` left; ``order[f]`` lists the node's rows in
-    ascending order of ``columns[f]``, and ``features`` is ascending.
+def _node_split(columns, attack, order, n_attack, features, min_leaf, pool, memo, path):
+    """Best (feature, threshold, n_left, score S, a_left) of one node, or None
+    when no cut has a positive Gini decrease (2 S / n^2). The split sends
+    ``order[f][:n_left]`` left, a_left of them attacks; ``order[f]`` lists
+    the node's rows in ascending order of ``columns[f]``, n_attack of them
+    attacks, and ``features`` is ascending.
 
     ``memo[path, f]`` is feature f's record at this node; a feature whose
     record does not serve min_leaf is scanned (by ``pool`` when given), and
@@ -213,18 +216,20 @@ def _node_split(columns, attack, order, features, min_leaf, pool, memo, path):
     floor = max(fbest for fbest, _ in results) * (1.0 - _TIE_BAND)
     finalists = [c for _, rows in results for c in rows if c[0] >= floor]
     # max keeps the first exact best, in (feature, cut) order
-    score, f, nl, _ = max(finalists, key=lambda c: Fraction(c[3] ** 2, c[2] * (n - c[2])))
+    score, f, nl, e = max(finalists, key=lambda c: Fraction(c[3] ** 2, c[2] * (n - c[2])))
     a, b = columns[f][order[f][nl - 1 : nl + 1]].tolist()
     # halving first: (a + b) / 2 overflows to inf near the float64 maximum
     mid = a / 2.0 + b / 2.0
-    return f, mid if mid < b else a, nl, score
+    return f, mid if mid < b else a, nl, score, (e + n_attack * nl) // n  # e = n a_l - A nl
 
 
 def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> TreeModel:
     """Grow a tree by greedy splitting.
 
     A node becomes a leaf when it is at max_depth, has fewer than
-    min_samples_split rows, is pure, or admits no positive-decrease split.
+    min_samples_split rows, is pure, or admits no positive-decrease split;
+    the first three are known from the parent's split, before it partitions
+    the rows, so only the children that can still split get row orders.
     The per-node feature subset of size ceil(max_features_fraction * N) is
     drawn from one seeded generator in preorder (node, left subtree, right
     subtree), so the tree is a pure function of (data, hp, seed), whatever
@@ -235,6 +240,10 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
     n_rows, n_features = X.shape
     if n_rows > _MAX_ROWS:
         raise ValueError(f"{n_rows} training rows exceed the limit of {_MAX_ROWS} rows")
+
+    def grows(n, n_attack, level):  # the node is below max_depth, large enough and impure
+        return level < hp.max_depth and n >= hp.min_samples_split and 0 < n_attack < n
+
     m_feat = ceil(hp.max_features_fraction * n_features)
     rng = np.random.default_rng(seed)
     columns = X.T  # Dataset keeps features column-major: one contiguous row per feature
@@ -247,33 +256,37 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
     preorder: list[Leaf | tuple[int, float]] = []
     depth = 0
     memo = train.split_memo
-    # (the node's rows in each feature's order, depth, the node's path in the
-    # memo, None from depth _MEMO_DEPTH on); the left child is popped first
-    stack = [(train.column_order, 0, ())]
+    # (the node's rows in each feature's order, None when it cannot grow; its
+    # row and attack counts; depth; its path in the memo, None from depth
+    # _MEMO_DEPTH on); the left child is popped first
+    n_attack = int(np.bincount(y, minlength=2)[1])
+    stack = [(train.column_order if grows(n_rows, n_attack, 0) else None, n_rows, n_attack, 0, ())]
     try:
         while stack:
-            order, level, path = stack.pop()
-            n = order.shape[1]
-            counts = np.bincount(y[order[0]], minlength=2)
+            order, n, n_attack, level, path = stack.pop()
             found = None
-            if level < hp.max_depth and n >= hp.min_samples_split and counts.max() < n:
+            if order is not None:
                 subset = np.sort(rng.choice(n_features, size=m_feat, replace=False)).tolist()
                 found = _node_split(
-                    columns, attack, order, subset, hp.min_samples_leaf, pool, memo, path
+                    columns, attack, order, n_attack, subset, hp.min_samples_leaf, pool, memo, path
                 )
             if found is not None:
-                f, thr, n_left, _ = found
-                goes_left[order[f][:n_left]] = True
-                goes_left[order[f][n_left:]] = False
-                # stable partition keeps each feature's order within both children
-                mask = np.take(goes_left, order).ravel()
-                left = np.compress(mask, order).reshape(n_features, n_left)
-                right = np.compress(~mask, order).reshape(n_features, n - n_left)
+                f, thr, n_left, _, a_left = found
                 preorder.append((f, thr))
+                sides = [(n - n_left, n_attack - a_left, True), (n_left, a_left, False)]
+                grow = [grows(m, a, level + 1) for m, a, _ in sides]
+                if any(grow):
+                    goes_left[order[f][:n_left]] = True
+                    goes_left[order[f][n_left:]] = False
+                    mask = np.take(goes_left, order).ravel()
                 named = level + 1 < _MEMO_DEPTH
-                stack.append((right, level + 1, (path, f, n_left, True) if named else None))
-                stack.append((left, level + 1, (path, f, n_left, False) if named else None))
+                for (m, a, right), g in zip(sides, grow):
+                    part = None
+                    if g:  # a stable partition keeps each feature's order within the child
+                        part = np.compress(~mask if right else mask, order).reshape(n_features, m)
+                    stack.append((part, m, a, level + 1, (path, f, n_left, right) if named else None))
                 continue
+            counts = np.array([n - n_attack, n_attack], dtype=np.int64)
             counts.flags.writeable = False
             preorder.append(Leaf(counts=counts, majority=int(np.argmax(counts))))
             depth = max(depth, level)

@@ -25,7 +25,7 @@ the kernel between inputs and query points comes from the Gram form
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, pi, sqrt
+from math import isfinite, log, pi, sqrt
 
 import numpy as np
 
@@ -203,7 +203,8 @@ def tune_kernel(X: np.ndarray, y: np.ndarray, grid: list[float], noise: float) -
     peaks at s = y^T (R + g I)^-1 y / t = w.w / t (1 for all-zero targets),
     where it is -t/2 log s - sum(log diag L) up to a constant. One
     factorization of R + g I per lengthscale; the earliest lengthscale wins
-    ties, and one whose factorization fails is skipped."""
+    ties, and one whose factorization fails is skipped. Raises ValueError
+    when s overflows float64: the targets are too large to model."""
     if not grid:
         raise ValueError("kernel grid is empty")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -211,15 +212,18 @@ def tune_kernel(X: np.ndarray, y: np.ndarray, grid: list[float], noise: float) -
     t = y.shape[0]
     sq = _sqdist(X, X)
     best, best_score = None, -np.inf
-    for lengthscale in grid:
-        try:
-            _, chol, w = _factor(_rbf(KernelParams(1.0, lengthscale), sq), y, noise)
-        except np.linalg.LinAlgError:
-            continue
-        s = float(w @ w) / t or 1.0  # all-zero targets leave s free; 1 keeps it positive
-        score = -0.5 * t * log(s) - float(np.sum(np.log(np.diag(chol))))
-        if score > best_score:
-            best, best_score = KernelParams(s, lengthscale), score
+    with np.errstate(over="ignore"):  # an overflow leaves s = inf, which raises below
+        for lengthscale in grid:
+            try:
+                _, chol, w = _factor(_rbf(KernelParams(1.0, lengthscale), sq), y, noise)
+            except np.linalg.LinAlgError:
+                continue
+            s = float(w @ w) / t or 1.0  # all-zero targets leave s free; 1 keeps it positive
+            if not isfinite(s):
+                raise ValueError("the targets' scale is not representable: s overflows float64")
+            score = -0.5 * t * log(s) - float(np.sum(np.log(np.diag(chol))))
+            if score > best_score:
+                best, best_score = KernelParams(s, lengthscale), score
     if best is None:
         raise np.linalg.LinAlgError("every kernel candidate failed to factorize")
     return best

@@ -61,12 +61,13 @@ def best_split(X, y, hp, feature_subset):
     one node, or None: _node_split's score S as the decrease 2 S / n^2."""
     d = dataset(X, y)
     found = _node_split(
-        d.features.T, d.labels.astype(np.float64), d.column_order,
+        d.features.T, d.labels.astype(np.float64), d.column_order, int(d.labels.sum()),
         sorted(feature_subset), hp.min_samples_leaf, None, {}, (),
     )
     if found is None:
         return None
-    f, thr, _, score = found
+    f, thr, n_left, score, a_left = found
+    assert a_left == d.labels[d.column_order[f][:n_left]].sum()
     return f, thr, 2.0 * score / len(y) ** 2
 
 
@@ -300,8 +301,9 @@ def test_fits_share_the_datasets_column_order():
 def test_a_fit_on_a_warm_column_order_copies_no_feature_matrix():
     # features.T is the split search's columns as they are; a copy of the
     # matrix would add features.nbytes to the fit's peak (about 1.4 times
-    # features.nbytes without it), which the root's partition sets: np.take
-    # casts the int32 orders to intp, features.nbytes, beside the bool mask
+    # features.nbytes without it), which the partition of the root's rows
+    # sets here, where both children grow: np.take casts the int32 orders to
+    # intp, features.nbytes, beside the bool mask
     d = gaussian_clusters(40_000, 2_000, seed=1, n_features=10)
     d.column_order
     tracemalloc.start()
@@ -311,6 +313,22 @@ def test_a_fit_on_a_warm_column_order_copies_no_feature_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 2 * d.features.nbytes
+
+
+def test_a_stump_partitions_no_rows():
+    # at max_depth 1 neither child of the root can split, so the fit makes
+    # no partition, and no intp cast of the orders (features.nbytes): the
+    # peak is the split search's per-feature work arrays
+    d = gaussian_clusters(20_000, 1_000, seed=1, n_features=40)
+    d.column_order
+    tracemalloc.start()
+    try:
+        t = fit_tree(d, HyperParams(max_depth=1), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(t.root, Split)
+    assert peak < 0.5 * d.features.nbytes
 
 
 def test_fit_leaves_no_reference_cycles():
@@ -390,6 +408,7 @@ def walk_splits(node, rows_idx, X, y, acc):
     be the class counts of exactly the rows routed to it, so predict sends
     each training row to the leaf that fit counted it in."""
     if isinstance(node, Leaf):
+        assert node.counts.dtype == np.int64 and not node.counts.flags.writeable
         assert node.counts.tolist() == np.bincount(y[rows_idx], minlength=2).tolist()
         return
     mask = X[rows_idx, node.feature] <= node.threshold
@@ -435,6 +454,34 @@ def test_accepted_splits_have_positive_decrease_and_legal_children(seed, X, y):
         right = ref_gini_fraction(np.bincount(y[rows_idx[~mask]], minlength=2))
         n = rows_idx.size
         assert parent - Fraction(n_left, n) * left - Fraction(n_right, n) * right > 0
+
+
+def leaf_depths(node, depth=0):
+    if isinstance(node, Leaf):
+        return [(node, depth)]
+    return leaf_depths(node.left, depth + 1) + leaf_depths(node.right, depth + 1)
+
+
+# (hyperparameters, whether a leaf's counts and depth show that rule stopped it)
+STOPPING_RULES = {
+    "max_depth": (HyperParams(max_depth=2), lambda c, depth: depth == 2 and c.min() > 0),
+    "min_samples_split": (
+        HyperParams(min_samples_split=40), lambda c, _: c.min() > 0 and c.sum() < 40
+    ),
+    "pure": (HyperParams(), lambda c, _: c.min() == 0),
+}
+
+
+@pytest.mark.parametrize("hp, stopped", STOPPING_RULES.values(), ids=STOPPING_RULES.keys())
+def test_leaf_counts_hold_for_leaves_stopped_by_each_rule(hp, stopped):
+    # a child's counts come from its parent's split, not from its rows;
+    # attack-heavy labels make pure blocks of attacks, as in the paper's data
+    rng = np.random.default_rng(12)
+    X = rng.random((400, 3))
+    y = (X[:, 0] + 0.3 * rng.random(400) > 0.35).astype(np.int64)
+    t = fit_tree(dataset(X, y), hp, seed=0)
+    walk_splits(t.root, np.arange(400), X, y, [])
+    assert any(stopped(leaf.counts, depth) for leaf, depth in leaf_depths(t.root))
 
 
 def max_path_len(node):

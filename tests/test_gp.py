@@ -420,6 +420,15 @@ def test_tune_kernel_skips_a_lengthscale_whose_factorization_fails(monkeypatch):
         tune_kernel(X, y, grid, 1e-6)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_tune_kernel_rejects_targets_whose_variance_overflows(scale):
+    # every factorization succeeds, but y^T R^-1 y is beyond float64; the
+    # error must say so, without an overflow warning on the way
+    X, y = _random_design()
+    with pytest.raises(ValueError, match="targets' scale is not representable"):
+        tune_kernel(X, y * scale, default_kernel_grid(), 1e-6)
+
+
 def test_tune_kernel_empty_grid():
     with pytest.raises(ValueError, match="empty"):
         tune_kernel(np.zeros((1, 1)), np.zeros(1), [], 1e-6)
