@@ -10,7 +10,8 @@ after it, ``tune_kernel`` picks the lengthscale by the profile likelihood,
 with the signal variance in closed form, and ``gp_fit`` factorizes afresh
 with that kernel; on the steps in between, ``gp_extend`` grows the last
 model's factor by the one new trial, so at most RETUNE_EVERY - 1 bordered
-rows pile up before the next fresh factorization.
+rows pile up before the next fresh factorization. ``optimize`` allocates
+one ``gp_workspace`` per search, and every step scores its candidates in it.
 Integer dimensions are optimized continuously and rounded at evaluation
 time; rounded configurations are cached so a duplicate proposal never
 re-runs the objective.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import GPModel, default_kernel_grid, gp_extend, gp_fit, gp_predict_batch, tune_kernel
+from .gp import GPModel, default_kernel_grid, gp_extend, gp_fit, gp_predict_batch, gp_workspace, tune_kernel
 
 __all__ = [
     "Dim",
@@ -116,17 +117,17 @@ class Trace:
 
 def _ei_vector(mean: np.ndarray, std: np.ndarray, best_so_far: float, xi: float) -> np.ndarray:
     """E[max(Y - best_so_far - xi, 0)] for Y ~ N(mean, std^2), for each
-    (mean, std) pair; 0 where std = 0."""
+    (mean, std) pair; 0 where std = 0. The cdf is computed only at z >= TAIL_Z."""
     improve = mean - best_so_far - xi
     out = np.zeros_like(mean)
     pos = std > 0.0
     with np.errstate(over="ignore"):  # a tiny std overflows to +-inf, which the clip takes
         z = np.clip(improve[pos] / std[pos], -1e8, 1e8)  # cdf/pdf are exactly 0/1 out here
-    cdf = 0.5 * _erfc(-z / math.sqrt(2.0)).astype(np.float64)  # the standard normal cdf
-    pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
-    ei = improve[pos] * cdf + std[pos] * pdf
+    ei = std[pos] * (np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi))  # std * pdf
     tail = z < TAIL_Z
-    ei[tail] = std[pos][tail] * pdf[tail] * _tail_ratio(-z[tail])
+    ei[tail] *= _tail_ratio(-z[tail])
+    body = ~tail
+    ei[body] += improve[pos][body] * (0.5 * _erfc(-z[body] / math.sqrt(2.0)).astype(np.float64))  # improve * cdf
     out[pos] = ei
     return np.maximum(out, 0.0)
 
@@ -189,15 +190,20 @@ def propose_next(
     seed: int,
     n_candidates: int = DEFAULT_CANDIDATES,
     xi: float = DEFAULT_XI,
+    *,
+    workspace: np.ndarray | None = None,
 ) -> dict:
     """EI-argmax over seeded uniform candidates, mapped back to native bounds.
 
     best_so_far must live in the same target space as the model (here: the
     standardized objective). Ties go to the earliest candidate drawn.
+    workspace goes to gp_predict_batch.
     """
+    if n_candidates < 1:
+        raise ValueError(f"need n_candidates >= 1, got n_candidates={n_candidates}")
     rng = np.random.default_rng(seed)
     cands = rng.random((n_candidates, len(space.dims)))
-    mean, var = gp_predict_batch(m, cands)
+    mean, var = gp_predict_batch(m, cands, workspace=workspace)
     ei = _ei_vector(mean, np.sqrt(var), best_so_far, xi)
     return _to_native(space, cands[int(np.argmax(ei))])
 
@@ -233,6 +239,7 @@ def optimize(
 
     trials: list[Trial] = []
     units = np.empty((budget, d))
+    workspace = gp_workspace(budget, n_candidates)  # every proposal's model has fewer than budget rows
     cache: dict[tuple, tuple[float, bool, str]] = {}
 
     def record(config: dict, index: int) -> None:
@@ -261,7 +268,7 @@ def optimize(
             model = gp_extend(model, units[:i], y_std)
 
         prop_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
-        config = propose_next(model, space, float(y_std.max()), prop_seed, n_candidates)
+        config = propose_next(model, space, float(y_std.max()), prop_seed, n_candidates, workspace=workspace)
         if _key(space, config) in cache:
             config = _to_native(space, sub_rng.random(d))
         record(config, i)

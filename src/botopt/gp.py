@@ -20,6 +20,10 @@ lengthscale, with the signal variance in closed form.
 Distances between the inputs are summed feature by feature (``_sqdist``);
 the kernel between inputs and query points comes from the Gram form
 |x|^2 + |q|^2 - 2 x.q (``_cross_kernel``), which rounds differently.
+
+``gp_predict_batch`` scores query points a block of columns at a time in
+one float64 workspace (``gp_workspace``), which a search keeps throughout
+instead of mapping two fresh (t, n_query) arrays at every prediction.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "gp_fit",
     "gp_extend",
     "gp_predict_batch",
+    "gp_workspace",
     "log_marginal_likelihood",
     "tune_kernel",
     "default_kernel_grid",
@@ -42,6 +47,10 @@ __all__ = [
 
 # Diagonal jitter ladder tried after a failed factorization.
 _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+_BLOCK = 256  # query columns per block of a gp_workspace
+# Several blocks are each a multiple of _TILE columns wide: OpenBLAS sums a
+# product's last n % 8 columns in an order that depends on its width n.
+_TILE = 8
 
 
 @dataclass(frozen=True)
@@ -86,13 +95,13 @@ def _rbf(p: KernelParams, sq: np.ndarray) -> np.ndarray:
     return p.signal_variance * np.exp(-sq / (2.0 * p.lengthscale**2))
 
 
-def _cross_kernel(p: KernelParams, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """k(X, Q) built in one (len(X), len(Q)) buffer from the Gram form: with
-    x and q in lengthscale units, -|x - q|^2 / 2 = x.q - |x|^2/2 - |q|^2/2,
-    clamped at 0 where rounding leaves it above. Close to, not bit-equal to,
-    _rbf(p, _sqdist(X, Q))."""
+def _cross_kernel(p: KernelParams, X: np.ndarray, Q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """k(X, Q) built in one (len(X), len(Q)) buffer, out if given, from the
+    Gram form: with x and q in lengthscale units, -|x - q|^2 / 2 =
+    x.q - |x|^2/2 - |q|^2/2, clamped at 0 where rounding leaves it above.
+    Close to, not bit-equal to, _rbf(p, _sqdist(X, Q))."""
     Xs, Qs = X / p.lengthscale, Q / p.lengthscale
-    K = Xs @ Qs.T
+    K = np.matmul(Xs, Qs.T, out=out)
     K -= 0.5 * np.einsum("ij,ij->i", Xs, Xs)[:, None]
     K -= 0.5 * np.einsum("ij,ij->i", Qs, Qs)
     np.minimum(K, 0.0, out=K)
@@ -179,15 +188,40 @@ def gp_extend(m: GPModel, X: np.ndarray, y: np.ndarray) -> GPModel:
     return GPModel(X=X, kernel=p, noise=m.noise, jitter=m.jitter, chol_inv=L_inv, w=w)
 
 
-def gp_predict_batch(m: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and variances at each row of Q."""
+def gp_workspace(rows: int, n_query: int) -> np.ndarray:
+    """Room for gp_predict_batch's two blocks of rows x min(n_query, 256) floats."""
+    return np.empty(2 * rows * min(n_query, _BLOCK))
+
+
+def gp_predict_batch(
+    m: GPModel, Q: np.ndarray, *, workspace: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and variances at each row of Q, b rows at a time: k*
+    and v = L^-1 k* of a block fill the first 2 t b floats of workspace (by
+    default gp_workspace(t, len(Q))), with b = size // 2t rounded down to a
+    multiple of 8 if Q takes several blocks. Bit-equal to one full-width
+    product if len(Q) is a multiple of 8 or fits one block; else its last
+    len(Q) % 8 results can differ in rounding, as that product's own do
+    between BLAS thread counts."""
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     if Q.shape[1] != m.X.shape[1]:
         raise ValueError(f"query dimension {Q.shape[1]} does not match model dimension {m.X.shape[1]}")
-    v = m.chol_inv @ _cross_kernel(m.kernel, m.X, Q)  # L^-1 k*, (t, n_query)
-    mean = m.w @ v
-    var = np.maximum(m.kernel.signal_variance - np.einsum("ij,ij->j", v, v), 0.0)
-    return mean, var
+    t, n = m.X.shape[0], Q.shape[0]
+    workspace = gp_workspace(t, n) if workspace is None else workspace
+    width = workspace.size // (2 * t)
+    if width < n:
+        width -= width % _TILE
+        if not width:
+            raise ValueError(f"a workspace of {workspace.size} floats holds no {_TILE} query columns at {t} inputs")
+    mean, var = np.empty(n), np.empty(n)
+    for lo in range(0, n, width or 1):  # width is 0 only for no query rows
+        b = min(width, n - lo)
+        k = _cross_kernel(m.kernel, m.X, Q[lo : lo + b], out=workspace[: t * b].reshape(t, b))
+        v = np.matmul(m.chol_inv, k, out=workspace[t * b : 2 * t * b].reshape(t, b))  # L^-1 k*
+        np.matmul(m.w, v, out=mean[lo : lo + b])
+        np.einsum("ij,ij->j", v, v, out=var[lo : lo + b])
+    np.subtract(m.kernel.signal_variance, var, out=var)
+    return mean, np.maximum(var, 0.0, out=var)
 
 
 def log_marginal_likelihood(m: GPModel) -> float:

@@ -64,6 +64,29 @@ def ref_profile_best(X, y, lengthscales, nugget, scales):
     )
 
 
+def ref_cross_kernel_gram(signal_variance, lengthscale, X, Q):
+    """k(X, Q) from the Gram form in one fresh (len(X), len(Q)) array, as
+    botopt computed it before predictions took blocks."""
+    Xs, Qs = X / lengthscale, Q / lengthscale
+    K = Xs @ Qs.T
+    K -= 0.5 * np.einsum("ij,ij->i", Xs, Xs)[:, None]
+    K -= 0.5 * np.einsum("ij,ij->i", Qs, Qs)
+    np.minimum(K, 0.0, out=K)
+    np.exp(K, out=K)
+    K *= signal_variance
+    return K
+
+
+def ref_gp_predict_full_width(m, Q):
+    """A fitted GPModel's posterior means and variances at the rows of Q,
+    from one full-width product v = L^-1 k* over every query point."""
+    Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
+    v = m.chol_inv @ ref_cross_kernel_gram(m.kernel.signal_variance, m.kernel.lengthscale, m.X, Q)
+    mean = m.w @ v
+    var = np.maximum(m.kernel.signal_variance - np.einsum("ij,ij->j", v, v), 0.0)
+    return mean, var
+
+
 # --- Expected improvement ----------------------------------------------------
 
 def ref_expected_improvement(mean, std, best, xi=0.0):
@@ -78,6 +101,30 @@ def ref_expected_improvement(mean, std, best, xi=0.0):
 
     val, _ = quad(integrand, lo, hi, limit=200)
     return val
+
+
+_ref_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def ref_ei_vector_two_term(mean, std, best_so_far, xi):
+    """Expected Improvement as botopt computed it before it skipped the cdf
+    in the lower tail: the two-term form at every candidate, then the tail
+    form (the package's own _tail_ratio, not what is checked here) written
+    over it below TAIL_Z."""
+    from botopt.bayesopt import TAIL_Z, _tail_ratio
+
+    improve = mean - best_so_far - xi
+    out = np.zeros_like(mean)
+    pos = std > 0.0
+    with np.errstate(over="ignore"):
+        z = np.clip(improve[pos] / std[pos], -1e8, 1e8)
+    cdf = 0.5 * _ref_erfc(-z / math.sqrt(2.0)).astype(np.float64)
+    pdf = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+    ei = improve[pos] * cdf + std[pos] * pdf
+    tail = z < TAIL_Z
+    ei[tail] = std[pos][tail] * pdf[tail] * _tail_ratio(-z[tail])
+    out[pos] = ei
+    return np.maximum(out, 0.0)
 
 
 # --- CART splits and trees ---------------------------------------------------

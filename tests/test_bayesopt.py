@@ -17,6 +17,7 @@ from botopt.bayesopt import (
     Trace,
     Trial,
     RETUNE_EVERY,
+    TAIL_Z,
     _ei_vector,
     _key,
     _to_native,
@@ -26,9 +27,9 @@ from botopt.bayesopt import (
     propose_next,
     write_trace,
 )
-from botopt.gp import KernelParams, default_kernel_grid, gp_extend, gp_fit, tune_kernel
+from botopt.gp import KernelParams, default_kernel_grid, gp_extend, gp_fit, gp_predict_batch, gp_workspace, tune_kernel
 
-from reference import ref_expected_improvement, ref_gp_predict
+from reference import ref_ei_vector_two_term, ref_expected_improvement, ref_gp_predict
 
 SPACE_1D = SearchSpace((Dim("x", "continuous", 0.0, 1.0),))
 
@@ -126,6 +127,57 @@ def test_ei_vector_equals_scipy_normal_formula():
     assert np.all(ei[~pos] == 0.0)
 
 
+def _ei_draws(rng, draws):
+    """(mean, std, best, xi) vectors: mixed, all in the lower tail, none in
+    it, and with zero, subnormal and tiny stds among normal ones."""
+    for k in range(draws):
+        n = int(rng.integers(1, 40))
+        mean = rng.normal(0.0, 3.0, n)
+        std = np.abs(rng.normal(0.0, 2.0, n))
+        kind = k % 4
+        if kind == 1:  # all in the lower tail
+            mean = -np.abs(mean) - 3.0 * std - 1.0
+        elif kind == 2:  # none in it
+            mean = np.abs(mean) + 3.0
+        elif kind == 3:
+            std[rng.random(n) < 0.3] = 0.0
+            std[rng.random(n) < 0.2] = rng.choice([5e-324, 1e-300, 1e-200, 1e-12], size=1)
+        yield mean, std, float(rng.normal(0.0, 1.0)), float(rng.choice([0.0, 0.01, 0.3]))
+
+
+def test_ei_vector_equals_the_two_term_form_bit_for_bit():
+    # skipping the cdf in the lower tail leaves every value as it was: the
+    # tail takes std * pdf times the same ratio, the rest adds the same two
+    # terms in the other order
+    rng = np.random.default_rng(29)
+    kinds = set()
+    for mean, std, best, xi in _ei_draws(rng, 3000):
+        ei = _ei_vector(mean, std, best, xi)
+        assert ei.tobytes() == ref_ei_vector_two_term(mean, std, best, xi).tobytes()
+        with np.errstate(over="ignore"):
+            z = (mean - best - xi)[std > 0] / std[std > 0]
+        kinds.add((bool(np.all(z < TAIL_Z)), bool(np.all(z >= TAIL_Z)), bool(np.any(std == 0.0))))
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= kinds
+
+
+def test_ei_vector_takes_the_cdf_only_outside_the_lower_tail(monkeypatch):
+    erfc, erfc_args = botopt.bayesopt._erfc, []
+
+    def counting(x):
+        erfc_args.append(len(x))
+        return erfc(x)
+
+    monkeypatch.setattr(botopt.bayesopt, "_erfc", counting)
+    rng = np.random.default_rng(31)
+    for mean, std, best, xi in _ei_draws(rng, 200):
+        erfc_args.clear()
+        _ei_vector(mean, std, best, xi)
+        pos = std > 0
+        with np.errstate(over="ignore"):
+            z = np.clip((mean - best - xi)[pos] / std[pos], -1e8, 1e8)
+        assert sum(erfc_args) == np.count_nonzero(z >= TAIL_Z)
+
+
 def test_importing_botopt_loads_no_scipy():
     # botopt's runtime is numpy only; scipy is a test dependency
     src = str(Path(botopt.__file__).resolve().parents[1])
@@ -168,6 +220,12 @@ def test_proposal_deterministic():
     a = propose_next(model, SPACE_1D, 1.0, seed=42)
     b = propose_next(model, SPACE_1D, 1.0, seed=42)
     assert a == b
+
+
+@pytest.mark.parametrize("n_candidates", [0, -2])
+def test_proposal_rejects_no_candidates(n_candidates):
+    with pytest.raises(ValueError, match=rf"^need n_candidates >= 1, got n_candidates={n_candidates}$"):
+        propose_next(fitted_bump_model(), SPACE_1D, 1.0, seed=0, n_candidates=n_candidates)
 
 
 def test_proposal_ei_close_to_dense_grid_maximum():
@@ -312,6 +370,22 @@ def test_optimize_equals_unshared_surrogate_loop():
     trace = optimize(objective, space, budget=budget, seed=seed)
     assert any(t.failed for t in trials) and not all(t.failed for t in trials)
     assert trace.trials == tuple(trials)
+
+
+def test_optimize_scores_every_proposal_in_one_workspace(monkeypatch):
+    # one gp_workspace per search, sized for its budget, at every step
+    workspaces = []
+
+    def recording(m, Q, *, workspace=None):
+        workspaces.append(workspace)
+        return gp_predict_batch(m, Q, workspace=workspace)
+
+    monkeypatch.setattr(botopt.bayesopt, "gp_predict_batch", recording)
+    budget, n_candidates = 14, 300
+    optimize(parabola, SPACE_1D, budget=budget, n_init=5, seed=4, n_candidates=n_candidates)
+    assert len(workspaces) == budget - 5
+    assert all(w is workspaces[0] for w in workspaces)
+    assert workspaces[0].size == gp_workspace(budget, n_candidates).size
 
 
 @pytest.mark.parametrize("budget, n_init", [(23, 5), (20, 5), (6, 5), (5, 5)])
