@@ -10,11 +10,10 @@ after it, ``tune_kernel`` picks the lengthscale by the profile likelihood,
 with the signal variance in closed form, and ``gp_fit`` factorizes afresh
 with that kernel; on the steps in between, ``gp_extend`` grows the last
 model's factor by the one new trial, so at most RETUNE_EVERY - 1 bordered
-rows pile up before the next fresh factorization. ``optimize`` allocates
-one ``gp_workspace`` per search, and every step scores its candidates in it.
-Integer dimensions are optimized continuously and rounded at evaluation
-time; rounded configurations are cached so a duplicate proposal never
-re-runs the objective.
+rows pile up before the next fresh factorization. Integer dimensions are
+optimized continuously and rounded at evaluation time; rounded
+configurations are cached so a duplicate proposal never re-runs the
+objective.
 
 Everything is deterministic given (space, budget, n_init, seed, objective):
 per-stage generators are derived from the seed, and candidate scoring ties
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import GPModel, default_kernel_grid, gp_extend, gp_fit, gp_predict_batch, gp_workspace, tune_kernel
+from .gp import GPModel, default_kernel_grid, gp_extend, gp_fit, gp_predict_batch, tune_kernel
 
 __all__ = [
     "Dim",
@@ -190,20 +189,17 @@ def propose_next(
     seed: int,
     n_candidates: int = DEFAULT_CANDIDATES,
     xi: float = DEFAULT_XI,
-    *,
-    workspace: np.ndarray | None = None,
 ) -> dict:
     """EI-argmax over seeded uniform candidates, mapped back to native bounds.
 
     best_so_far must live in the same target space as the model (here: the
     standardized objective). Ties go to the earliest candidate drawn.
-    workspace goes to gp_predict_batch.
     """
     if n_candidates < 1:
         raise ValueError(f"need n_candidates >= 1, got n_candidates={n_candidates}")
     rng = np.random.default_rng(seed)
     cands = rng.random((n_candidates, len(space.dims)))
-    mean, var = gp_predict_batch(m, cands, workspace=workspace)
+    mean, var = gp_predict_batch(m, cands)
     ei = _ei_vector(mean, np.sqrt(var), best_so_far, xi)
     return _to_native(space, cands[int(np.argmax(ei))])
 
@@ -218,17 +214,18 @@ def optimize(
 ) -> Trace:
     """Maximize objective(config) over the space within an evaluation budget.
 
-    The first n_init trials (default max(5, 2 * dims)) come from a Latin
-    hypercube; the rest from propose_next. A proposal whose rounded config
-    was already evaluated is replaced by one fresh uniform candidate; if
-    that also repeats, the trial is recorded with the cached objective and
-    the objective is not called again. A raising objective records a failed
-    trial at one unit below the worst value seen so far, with the exception's
-    type and message as its error, and the loop keeps going.
+    The first n_init trials (default max(5, 2 * dims), capped at the
+    budget) come from a Latin hypercube; the rest from propose_next. A
+    proposal whose rounded config was already evaluated is replaced by one
+    fresh uniform candidate; if that also repeats, the trial is recorded
+    with the cached objective and the objective is not called again. A
+    raising objective records a failed trial at one unit below the worst
+    value seen so far, with the exception's type and message as its error,
+    and the loop keeps going.
     """
     d = len(space.dims)
     if n_init is None:
-        n_init = max(5, 2 * d)
+        n_init = min(budget, max(5, 2 * d))
     if not budget >= n_init >= 1:
         raise ValueError(f"need budget >= n_init >= 1, got budget={budget}, n_init={n_init}")
     if n_candidates < 1:
@@ -239,7 +236,6 @@ def optimize(
 
     trials: list[Trial] = []
     units = np.empty((budget, d))
-    workspace = gp_workspace(budget, n_candidates)  # every proposal's model has fewer than budget rows
     cache: dict[tuple, tuple[float, bool, str]] = {}
 
     def record(config: dict, index: int) -> None:
@@ -268,7 +264,7 @@ def optimize(
             model = gp_extend(model, units[:i], y_std)
 
         prop_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
-        config = propose_next(model, space, float(y_std.max()), prop_seed, n_candidates, workspace=workspace)
+        config = propose_next(model, space, float(y_std.max()), prop_seed, n_candidates)
         if _key(space, config) in cache:
             config = _to_native(space, sub_rng.random(d))
         record(config, i)

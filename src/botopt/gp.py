@@ -21,9 +21,8 @@ Distances between the inputs are summed feature by feature (``_sqdist``);
 the kernel between inputs and query points comes from the Gram form
 |x|^2 + |q|^2 - 2 x.q (``_cross_kernel``), which rounds differently.
 
-``gp_predict_batch`` scores query points a block of columns at a time in
-one float64 workspace (``gp_workspace``), which a search keeps throughout
-instead of mapping two fresh (t, n_query) arrays at every prediction.
+``gp_predict_batch`` scores query points 256 columns at a time in one
+buffer of two (t, 256) blocks, instead of two (t, n_query) arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "gp_fit",
     "gp_extend",
     "gp_predict_batch",
-    "gp_workspace",
     "log_marginal_likelihood",
     "tune_kernel",
     "default_kernel_grid",
@@ -47,10 +45,10 @@ __all__ = [
 
 # Diagonal jitter ladder tried after a failed factorization.
 _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
-_BLOCK = 256  # query columns per block of a gp_workspace
-# Several blocks are each a multiple of _TILE columns wide: OpenBLAS sums a
-# product's last n % 8 columns in an order that depends on its width n.
-_TILE = 8
+# Query columns per block of gp_predict_batch. A multiple of 8: OpenBLAS sums
+# a product's last n % 8 columns in an order that depends on its width n, so
+# every full block rounds as the same columns of one full-width product.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -188,36 +186,23 @@ def gp_extend(m: GPModel, X: np.ndarray, y: np.ndarray) -> GPModel:
     return GPModel(X=X, kernel=p, noise=m.noise, jitter=m.jitter, chol_inv=L_inv, w=w)
 
 
-def gp_workspace(rows: int, n_query: int) -> np.ndarray:
-    """Room for gp_predict_batch's two blocks of rows x min(n_query, 256) floats."""
-    return np.empty(2 * rows * min(n_query, _BLOCK))
-
-
-def gp_predict_batch(
-    m: GPModel, Q: np.ndarray, *, workspace: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and variances at each row of Q, b rows at a time: k*
-    and v = L^-1 k* of a block fill the first 2 t b floats of workspace (by
-    default gp_workspace(t, len(Q))), with b = size // 2t rounded down to a
-    multiple of 8 if Q takes several blocks. Bit-equal to one full-width
-    product if len(Q) is a multiple of 8 or fits one block; else its last
-    len(Q) % 8 results can differ in rounding, as that product's own do
-    between BLAS thread counts."""
+def gp_predict_batch(m: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and variances at each row of Q, 256 rows at a time:
+    k* and v = L^-1 k* of a block of b rows fill the first 2 t b floats of
+    one buffer. Bit-equal to one full-width product if len(Q) is a multiple
+    of 8 or at most 256; else its last len(Q) % 8 results can differ in
+    rounding, as that product's own do between BLAS thread counts."""
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     if Q.shape[1] != m.X.shape[1]:
         raise ValueError(f"query dimension {Q.shape[1]} does not match model dimension {m.X.shape[1]}")
     t, n = m.X.shape[0], Q.shape[0]
-    workspace = gp_workspace(t, n) if workspace is None else workspace
-    width = workspace.size // (2 * t)
-    if width < n:
-        width -= width % _TILE
-        if not width:
-            raise ValueError(f"a workspace of {workspace.size} floats holds no {_TILE} query columns at {t} inputs")
+    buf = np.empty(2 * t * min(n, _BLOCK))
     mean, var = np.empty(n), np.empty(n)
-    for lo in range(0, n, width or 1):  # width is 0 only for no query rows
-        b = min(width, n - lo)
-        k = _cross_kernel(m.kernel, m.X, Q[lo : lo + b], out=workspace[: t * b].reshape(t, b))
-        v = np.matmul(m.chol_inv, k, out=workspace[t * b : 2 * t * b].reshape(t, b))  # L^-1 k*
+    for lo in range(0, n, _BLOCK):
+        b = min(_BLOCK, n - lo)
+        # contiguous (t, b) views: a strided view of a wider block rounds differently
+        k = _cross_kernel(m.kernel, m.X, Q[lo : lo + b], out=buf[: t * b].reshape(t, b))
+        v = np.matmul(m.chol_inv, k, out=buf[t * b : 2 * t * b].reshape(t, b))  # L^-1 k*
         np.matmul(m.w, v, out=mean[lo : lo + b])
         np.einsum("ij,ij->j", v, v, out=var[lo : lo + b])
     np.subtract(m.kernel.signal_variance, var, out=var)

@@ -22,7 +22,7 @@ from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .bayesopt import Dim, SearchSpace, Trace, default_dt_space, optimize
+from .bayesopt import DEFAULT_CANDIDATES, Dim, SearchSpace, Trace, default_dt_space, optimize
 from .dtree import HyperParams, TreeModel, fit_tree, predict_many
 from .ingest import Dataset, SplitPair, class_counts, load_flows, stratified_split
 from .metrics import MetricsReport, compute_metrics, confusion, metrics_to_text
@@ -93,7 +93,7 @@ class PipelineConfig:
     budget: int = 30
     n_init: int | None = None
     cv_folds: int = 3
-    n_candidates: int = 1000
+    n_candidates: int = DEFAULT_CANDIDATES
     n_threads: int = 1
     space: SearchSpace = field(default_factory=default_dt_space)
 

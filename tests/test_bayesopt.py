@@ -27,7 +27,7 @@ from botopt.bayesopt import (
     propose_next,
     write_trace,
 )
-from botopt.gp import KernelParams, default_kernel_grid, gp_extend, gp_fit, gp_predict_batch, gp_workspace, tune_kernel
+from botopt.gp import KernelParams, default_kernel_grid, gp_extend, gp_fit, gp_predict_batch, tune_kernel
 
 from reference import ref_ei_vector_two_term, ref_expected_improvement, ref_gp_predict
 
@@ -188,6 +188,31 @@ def test_importing_botopt_loads_no_scipy():
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_search_traces_do_not_depend_on_the_blas_thread_count():
+    # a prediction's last n % 8 columns may round differently under one and
+    # two BLAS threads; the searches' trials must not
+    src = str(Path(botopt.__file__).resolve().parents[1])
+    code = (
+        "from botopt.bayesopt import default_dt_space, optimize\n"
+        "def objective(c):\n"
+        "    return -abs(c['max_depth'] - 17) / 9 - c['min_samples_leaf'] / 50 + c['max_features_fraction'] / 3\n"
+        "for n in (500, 1000):\n"
+        "    print(repr(optimize(objective, default_dt_space(), budget=40, seed=0, n_candidates=n).trials))\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # --- propose_next ------------------------------------------------------------
@@ -372,22 +397,6 @@ def test_optimize_equals_unshared_surrogate_loop():
     assert trace.trials == tuple(trials)
 
 
-def test_optimize_scores_every_proposal_in_one_workspace(monkeypatch):
-    # one gp_workspace per search, sized for its budget, at every step
-    workspaces = []
-
-    def recording(m, Q, *, workspace=None):
-        workspaces.append(workspace)
-        return gp_predict_batch(m, Q, workspace=workspace)
-
-    monkeypatch.setattr(botopt.bayesopt, "gp_predict_batch", recording)
-    budget, n_candidates = 14, 300
-    optimize(parabola, SPACE_1D, budget=budget, n_init=5, seed=4, n_candidates=n_candidates)
-    assert len(workspaces) == budget - 5
-    assert all(w is workspaces[0] for w in workspaces)
-    assert workspaces[0].size == gp_workspace(budget, n_candidates).size
-
-
 @pytest.mark.parametrize("budget, n_init", [(23, 5), (20, 5), (6, 5), (5, 5)])
 def test_optimize_fits_every_step_and_retunes_every_retune_every(monkeypatch, budget, n_init):
     # a fresh fit (and the only inverse of L) on re-tune steps, a bordered
@@ -449,6 +458,14 @@ def test_running_best_nondecreasing_and_bounds_respected(seed):
 def test_optimize_validates_budget():
     with pytest.raises(ValueError, match="budget >= n_init"):
         optimize(parabola, SPACE_1D, budget=3, n_init=5, seed=0)
+
+
+def test_optimize_caps_the_default_design_at_the_budget():
+    # the default space's default design is max(5, 2 * 4) = 8 trials
+    space = default_dt_space()
+    trace = optimize(lambda c: c["max_features_fraction"], space, budget=3, seed=0)
+    init_rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
+    assert [t.config for t in trace.trials] == [_to_native(space, u) for u in latin_hypercube(3, 4, init_rng)]
 
 
 def test_optimize_rejects_no_candidates_before_any_trial():

@@ -14,7 +14,6 @@ from botopt.gp import (
     gp_extend,
     gp_fit,
     gp_predict_batch,
-    gp_workspace,
     log_marginal_likelihood,
     tune_kernel,
 )
@@ -144,34 +143,36 @@ def test_posterior_variance_nonnegative_everywhere():
     assert np.all(var >= 0.0)
 
 
-def _search_model(t, seed=0):
-    """A GP like optimize's at step t: unit-cube inputs, 4 dimensions."""
+def _search_model(t, seed=0, extended=False):
+    """A GP like optimize's at step t: unit-cube inputs, 4 dimensions. If
+    extended, it is fitted to all but the last inputs (at most 4) and grown
+    to t by gp_extend, as optimize grows its model between re-tunes."""
     rng = np.random.default_rng(seed)
-    return gp_fit(rng.random((t, 4)), rng.standard_normal(t), KernelParams(1.3, 0.4), noise=1e-6), rng
+    X, y, p = rng.random((t, 4)), rng.standard_normal(t), KernelParams(1.3, 0.4)
+    if not extended:
+        return gp_fit(X, y, p, noise=1e-6), rng
+    t0 = max(1, t - 4)
+    return gp_extend(gp_fit(X[:t0], y[:t0], p, noise=1e-6), X, y), rng
 
 
-def _blocks(n, width):
-    """gp_predict_batch's blocks: width columns, rounded down to a multiple
-    of 8 when the queries take more than one."""
-    if width < n:
-        width -= width % 8
-    return [(lo, min(lo + width, n)) for lo in range(0, n, width)]
+def _blocks(n):
+    """gp_predict_batch's blocks: 256 columns, the last one what is left."""
+    return [(lo, min(lo + 256, n)) for lo in range(0, n, 256)]
 
 
 @pytest.mark.parametrize("t", [1, 2, 7, 51, 200])
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
-@pytest.mark.parametrize("search", [False, True])
-def test_blocked_prediction_equals_the_full_width_product(t, n, search):
+@pytest.mark.parametrize("extended", [False, True])
+def test_blocked_prediction_equals_the_full_width_product(t, n, extended):
     # every block is one full-width product of its own columns; the whole is
     # bit-equal to one product over all n unless n % 8 columns are left over
     # for a last block: BLAS sums a product's last n % 8 columns in an order
     # that depends on its width (and, at n = 257 and t = 200, on its thread
     # count too)
-    m, rng = _search_model(t)
+    m, rng = _search_model(t, extended=extended)
     Q = rng.random((n, 4))
-    workspace = gp_workspace(200, n) if search else None
-    mean, var = gp_predict_batch(m, Q, workspace=workspace)
-    blocks = _blocks(n, (gp_workspace(t, n) if workspace is None else workspace).size // (2 * t))
+    mean, var = gp_predict_batch(m, Q)
+    blocks = _blocks(n)
     by_block = [ref_gp_predict_full_width(m, Q[lo:hi]) for lo, hi in blocks]
     assert mean.tobytes() == np.concatenate([b[0] for b in by_block]).tobytes()
     assert var.tobytes() == np.concatenate([b[1] for b in by_block]).tobytes()
@@ -181,10 +182,9 @@ def test_blocked_prediction_equals_the_full_width_product(t, n, search):
     assert var[:same].tobytes() == full_var[:same].tobytes()
 
 
-@pytest.mark.parametrize("t, n, blocks", [(51, 1000, 1), (52, 1000, 2), (200, 1000, 4), (200, 257, 2), (7, 500, 1)])
-def test_a_search_workspace_takes_capacity_over_t_columns_per_block(monkeypatch, t, n, blocks):
-    # a 200-trial search's workspace: floor(200 * 256 / t) columns per block,
-    # so one block up to t = 51 and four at t = 200
+@pytest.mark.parametrize("t", [7, 200])
+@pytest.mark.parametrize("n, blocks", [(256, 1), (257, 2), (500, 2), (1000, 4)])
+def test_a_prediction_takes_blocks_of_256_columns(monkeypatch, t, n, blocks):
     calls = []
 
     def counting(p, X, Q, out):
@@ -193,43 +193,30 @@ def test_a_search_workspace_takes_capacity_over_t_columns_per_block(monkeypatch,
 
     monkeypatch.setattr(botopt.gp, "_cross_kernel", counting)
     m, rng = _search_model(t)
-    gp_predict_batch(m, rng.random((n, 4)), workspace=gp_workspace(200, n))
-    assert len(calls) == blocks and sum(calls) == n
-    assert max(calls) <= 200 * min(n, 256) // t
+    gp_predict_batch(m, rng.random((n, 4)))
+    assert calls == [b - a for a, b in _blocks(n)] and len(calls) == blocks
 
 
 def test_gp_predict_batch_takes_no_query_rows():
     m, _ = _search_model(3)
-    for workspace in (None, gp_workspace(3, 0), gp_workspace(3, 10)):
-        mean, var = gp_predict_batch(m, np.empty((0, 4)), workspace=workspace)
-        assert mean.shape == var.shape == (0,)
+    mean, var = gp_predict_batch(m, np.empty((0, 4)))
+    assert mean.shape == var.shape == (0,)
 
 
-def test_gp_predict_batch_rejects_a_workspace_without_room_for_a_block():
-    m, rng = _search_model(10)
-    with pytest.raises(ValueError, match="holds no 8 query columns at 10 inputs"):
-        gp_predict_batch(m, rng.random((9, 4)), workspace=np.empty(2 * 10 * 8 - 1))
-    mean, _ = gp_predict_batch(m, rng.random((9, 4)), workspace=np.empty(2 * 10 * 8))
-    assert mean.shape == (9,)
-
-
-@pytest.mark.parametrize("search", [False, True])
-def test_a_blocked_prediction_holds_no_full_width_array(search):
+def test_a_blocked_prediction_holds_no_full_width_array():
     # one (t, n) float64 array is t * n * 8 bytes, and a full-width
-    # prediction builds two: it peaked at 2.0x. With its own workspace, two
-    # blocks of 256 columns, it peaks at 0.58x; with the search's, allocated
-    # beforehand, at 0.06x (the query blocks and the outputs)
+    # prediction builds two: it peaked at 2.0x. With two blocks of 256
+    # columns, it peaks at 0.58x
     t, n = 200, 1000
     m, rng = _search_model(t)
     Q = rng.random((n, 4))
-    workspace = gp_workspace(t, n) if search else None
     tracemalloc.start()
     try:
-        gp_predict_batch(m, Q, workspace=workspace)
+        gp_predict_batch(m, Q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (0.1 if search else 0.75) * t * n * 8
+    assert peak < 0.75 * t * n * 8
 
 
 def test_adding_observation_never_increases_variance():

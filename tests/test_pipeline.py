@@ -93,6 +93,12 @@ def test_degenerate_tuning_budget_equals_n_init(small_data):
     assert r.optimized_metrics is not None and r.baseline_metrics is not None
 
 
+def test_a_budget_below_the_default_design_runs():
+    # the default space's default design is 8 trials; a budget of 3 caps it
+    r = run_pipeline(PipelineConfig(seed=0, budget=3), gaussian_clusters(400, 40, seed=1))
+    assert len(r.trace.trials) == 3
+
+
 def test_default_config_wins_when_search_space_is_hopeless(small_data):
     # a box of deliberately crippled settings: the default candidate must be
     # kept and both arms then coincide
