@@ -52,6 +52,22 @@ serving, once it holds one record per 32 rows of the Dataset. Hashing a
 path costs its depth and recurses in C, so nodes at depth 64 or more
 neither read nor write the memo, and their paths are None.
 
+The fits on one Dataset also share its fit memo (``Dataset.tree_memo``),
+which serves whole trees. It is keyed by (seed, m_feat), m_feat =
+ceil(max_features_fraction * n_features), and pairs each tree a fit grew
+with the box of (max_depth, min_samples_split, min_samples_leaf) in which
+every decision of that fit comes out the same; a later fit whose settings
+fall in a stored box returns the stored TreeModel. The box starts unbounded
+and each decision narrows it. An impure node that grows needs max_depth >
+level and min_samples_split <= n, one stopped by depth max_depth <= level,
+and one stopped by size min_samples_split > n. A split search in which
+every feature's record serves min_samples_leaf bounds it by the least
+min(nl_lo, n - nl_hi) of those records (inf for a feature without a cut);
+any other search pins min_samples_leaf. In the box the random draws, the
+nodes and every split repeat, so the stored tree is the one a fresh fit
+grows. The memo stops storing, and goes on serving, once its trees hold one
+node per 4 rows of the Dataset.
+
 Per-node split search across features is embarrassingly parallel; with
 n_threads > 1 the features a node must scan are scored concurrently and
 reduced in ascending feature order, which is guaranteed to match the serial
@@ -85,6 +101,8 @@ _TIE_BAND = 1e-12
 _MAX_ROWS = isqrt(2**53)
 # A Dataset's split memo stops storing at one record per this many rows.
 _ROWS_PER_RECORD = 32
+# A Dataset's fit memo stops storing at one stored tree node per this many rows.
+_ROWS_PER_NODE = 4
 # Record of a feature without a cut of positive decrease: it serves any min_leaf.
 _NO_CUT = (inf, -inf, None)
 # Nodes this deep or deeper have no path and leave the split memo alone.
@@ -179,11 +197,14 @@ def _serves(record, min_leaf, n):
 
 
 def _node_split(columns, attack, order, n_attack, features, min_leaf, pool, memo, path):
-    """Best (feature, threshold, n_left, score S, a_left) of one node, or None
-    when no cut has a positive Gini decrease (2 S / n^2). The split sends
-    ``order[f][:n_left]`` left, a_left of them attacks; ``order[f]`` lists
-    the node's rows in ascending order of ``columns[f]``, n_attack of them
-    attacks, and ``features`` is ascending.
+    """(reach, best): best is the (feature, threshold, n_left, score S,
+    a_left) of one node, or None when no cut has a positive Gini decrease
+    (2 S / n^2). The split sends ``order[f][:n_left]`` left, a_left of them
+    attacks; ``order[f]`` lists the node's rows in ascending order of
+    ``columns[f]``, n_attack of them attacks, and ``features`` is ascending.
+    reach is the largest min_leaf that every feature's record serves (inf
+    when none has a cut): when min_leaf <= reach, best is the same for every
+    min_leaf from 1 to reach.
 
     ``memo[path, f]`` is feature f's record at this node; a feature whose
     record does not serve min_leaf is scanned (by ``pool`` when given), and
@@ -193,11 +214,11 @@ def _node_split(columns, attack, order, n_attack, features, min_leaf, pool, memo
     n = order.shape[1]
     if path is None:
         memo = {}
-    found = {}
+    records, found = {}, {}
     for f in features:
         record = memo.get((path, f))
         if record is not None and _serves(record, min_leaf, n):
-            found[f] = record[2]
+            records[f], found[f] = record, record[2]
     missed = [f for f in features if f not in found]
     args = [(columns[f], attack, order[f], min_leaf, f) for f in missed]
     if pool is not None:
@@ -208,10 +229,12 @@ def _node_split(columns, attack, order, n_attack, features, min_leaf, pool, memo
     for f, (record, res) in zip(missed, scans):
         if len(memo) < room:
             memo[path, f] = record
-        found[f] = res
+        records[f], found[f] = record, res
+    # _serves(record, min_leaf, n) exactly when min_leaf <= min(nl_lo, n - nl_hi)
+    reach = min(min(lo, n - hi) for lo, hi, _ in records.values())
     results = [found[f] for f in features if found[f] is not None]  # ascending feature order
     if not results:
-        return None
+        return reach, None
 
     floor = max(fbest for fbest, _ in results) * (1.0 - _TIE_BAND)
     finalists = [c for _, rows in results for c in rows if c[0] >= floor]
@@ -220,7 +243,7 @@ def _node_split(columns, attack, order, n_attack, features, min_leaf, pool, memo
     a, b = columns[f][order[f][nl - 1 : nl + 1]].tolist()
     # halving first: (a + b) / 2 overflows to inf near the float64 maximum
     mid = a / 2.0 + b / 2.0
-    return f, mid if mid < b else a, nl, score, (e + n_attack * nl) // n  # e = n a_l - A nl
+    return reach, (f, mid if mid < b else a, nl, score, (e + n_attack * nl) // n)  # e = n a_l - A nl
 
 
 def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> TreeModel:
@@ -233,18 +256,36 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
     The per-node feature subset of size ceil(max_features_fraction * N) is
     drawn from one seeded generator in preorder (node, left subtree, right
     subtree), so the tree is a pure function of (data, hp, seed), whatever
-    the dataset's split memo holds. Raises ValueError above 94,906,265
-    training rows, where the split scores stop being exact.
+    the dataset's memos hold; a fit the fit memo serves returns the very
+    tree it stored. Raises ValueError above 94,906,265 training rows, where
+    the split scores stop being exact.
     """
     X, y = train.features, train.labels
     n_rows, n_features = X.shape
     if n_rows > _MAX_ROWS:
         raise ValueError(f"{n_rows} training rows exceed the limit of {_MAX_ROWS} rows")
-
-    def grows(n, n_attack, level):  # the node is below max_depth, large enough and impure
-        return level < hp.max_depth and n >= hp.min_samples_split and 0 < n_attack < n
-
     m_feat = ceil(hp.max_features_fraction * n_features)
+    settings = (hp.max_depth, hp.min_samples_split, hp.min_samples_leaf)
+    fits = train.tree_memo.setdefault((seed, m_feat), [])
+    for box_lo, box_hi, tree, _ in fits:
+        if all(a <= v <= b for a, v, b in zip(box_lo, settings, box_hi)):
+            return tree
+    # the box of settings that repeat every decision of this fit so far:
+    # lo[i] <= settings[i] <= hi[i]
+    lo, hi = [1, 2, 1], [inf, inf, inf]
+
+    def grows(n, n_attack, level):  # below max_depth, large enough and impure; narrows the box
+        if not 0 < n_attack < n:
+            return False  # a pure node stops under any settings
+        if level >= hp.max_depth:
+            hi[0] = min(hi[0], level)
+            return False
+        if n < hp.min_samples_split:
+            lo[1] = max(lo[1], n + 1)
+            return False
+        lo[0], hi[1] = max(lo[0], level + 1), min(hi[1], n)
+        return True
+
     rng = np.random.default_rng(seed)
     columns = X.T  # Dataset keeps features column-major: one contiguous row per feature
     attack = y.astype(np.float64)
@@ -267,9 +308,13 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
             found = None
             if order is not None:
                 subset = np.sort(rng.choice(n_features, size=m_feat, replace=False)).tolist()
-                found = _node_split(
+                reach, found = _node_split(
                     columns, attack, order, n_attack, subset, hp.min_samples_leaf, pool, memo, path
                 )
+                if reach >= hp.min_samples_leaf:
+                    hi[2] = min(hi[2], reach)
+                else:  # min_samples_leaf trimmed some feature's band: pin it
+                    lo[2] = hi[2] = hp.min_samples_leaf
             if found is not None:
                 f, thr, n_left, _, a_left = found
                 preorder.append((f, thr))
@@ -301,7 +346,11 @@ def fit_tree(train: Dataset, hp: HyperParams, seed: int, n_threads: int = 1) -> 
         else:
             left = built.pop()
             built.append(Split(feature=node[0], threshold=node[1], left=left, right=built.pop()))
-    return TreeModel(root=built[0], n_features=n_features, depth=depth)
+    tree = TreeModel(root=built[0], n_features=n_features, depth=depth)
+    stored = sum(nodes for boxes in train.tree_memo.values() for *_, nodes in boxes)
+    if stored + len(preorder) <= n_rows // _ROWS_PER_NODE:
+        fits.append((tuple(lo), tuple(hi), tree, len(preorder)))
+    return tree
 
 
 def predict_many(t: TreeModel, X: np.ndarray) -> np.ndarray:

@@ -119,6 +119,13 @@ class Dataset:
         fills it (see its docstring)."""
         return {}
 
+    @cached_property
+    def tree_memo(self) -> dict:
+        """The trees fit on this dataset, each with the box of settings that
+        grow it, keyed by (seed, features per node), empty until the first
+        fit; ``dtree`` fills it (see its docstring)."""
+        return {}
+
     def take(self, indices: np.ndarray) -> "Dataset":
         """Row subset in the given index order; indices must be integers."""
         idx = np.asarray(indices)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numbers
 import os
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, get_args, get_origin, get_type_hints
@@ -110,6 +111,7 @@ class PipelineConfig:
             ("smote_ratio", 0 < self.smote_ratio <= 1, "in (0, 1]"),
             ("budget", self.budget >= 1, ">= 1"),
             ("n_init", self.n_init is None or self.n_init >= 1, ">= 1"),
+            ("n_init", self.n_init is None or self.n_init <= self.budget, f"<= budget ({self.budget})"),
             ("cv_folds", self.cv_folds >= 2, ">= 2"),
             ("n_candidates", self.n_candidates >= 1, ">= 1"),
             ("n_threads", self.n_threads >= 1, ">= 1"),
@@ -205,10 +207,11 @@ def make_cv_objective(
 
     Each fold's training part is oversampled once up front (it does not
     depend on the candidate hyperparameters), so all trials share it and,
-    through ``Dataset.column_order`` and ``Dataset.split_memo``, its column
-    sort and the split searches of the nodes their trees have in common;
-    validation folds stay untouched so synthetic rows never leak into
-    scoring.
+    through ``Dataset.column_order``, ``Dataset.split_memo`` and
+    ``Dataset.tree_memo``, its column sort, the split searches of the nodes
+    their trees have in common and the trees themselves; a tree the fold
+    has scored keeps its score. Validation folds stay untouched so
+    synthetic rows never leak into scoring.
     """
     prepared: list[tuple[Dataset, Dataset]] = []
     for j, val_idx in enumerate(folds):
@@ -219,10 +222,21 @@ def make_cv_objective(
         aug = smote(fold_train, replace(smote_cfg, seed=smote_cfg.seed + j))
         prepared.append((aug, train.take(val_idx)))
 
+    # id of a scored tree -> (a weak reference to it, its fold's macro-F): a
+    # live tree keeps its id, and a dead one's id may come back on another tree
+    scored: dict[int, tuple[weakref.ref, float]] = {}
+
+    def fold_score(tree: TreeModel, val: Dataset) -> float:
+        ref, macro_f = scored.get(id(tree), (None, 0.0))
+        if ref is None or ref() is not tree:
+            macro_f = score(tree, val).macro_f_score
+            scored[id(tree)] = weakref.ref(tree), macro_f
+        return macro_f
+
     def objective(config: dict) -> float:
         hp = HyperParams(**config)
         scores = [
-            score(fit_tree(aug, hp, tree_seed + j, n_threads), val).macro_f_score
+            fold_score(fit_tree(aug, hp, tree_seed + j, n_threads), val)
             for j, (aug, val) in enumerate(prepared)
         ]
         return float(np.mean(scores))
@@ -318,14 +332,10 @@ def run_pipeline(cfg: PipelineConfig, dataset: Dataset | None = None) -> RunRepo
 
     with _stage(timings, "fit_optimized"):
         optimized_tree = fit_tree(augmented, best_hp, cfg.seed, cfg.n_threads)
-    # the same data, settings and seed grow the same tree, so a winning
-    # default is not grown twice; a losing one shares augmented's column sort
+    # augmented's fit memo returns the optimized tree where its record holds
+    # the default settings, as it does when the default wins
     with _stage(timings, "fit_baseline"):
-        baseline_tree = (
-            optimized_tree
-            if best_hp == DEFAULT_HP
-            else fit_tree(augmented, DEFAULT_HP, cfg.seed, cfg.n_threads)
-        )
+        baseline_tree = fit_tree(augmented, DEFAULT_HP, cfg.seed, cfg.n_threads)
     with _stage(timings, "evaluate"):
         optimized_metrics = score(optimized_tree, test_s)
         baseline_metrics = score(baseline_tree, test_s)

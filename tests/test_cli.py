@@ -278,8 +278,9 @@ def test_config_errors_name_their_source(flows_csv, tmp_path, config, space, mes
         (["--budget", "0"], r"^error: --budget: budget must be >= 1, got 0$"),
         (["--smote-ratio", "2"], r"^error: --smote-ratio: smote_ratio must be in \(0, 1\], got 2\.0$"),
         (["--n-threads", "0"], r"^error: --n-threads: n_threads must be >= 1, got 0$"),
+        (["--budget", "3", "--n-init", "5"], r"^error: --n-init: n_init must be <= budget \(3\), got 5$"),
     ],
-    ids=["zero-budget", "smote-ratio-above-one", "zero-n-threads"],
+    ids=["zero-budget", "smote-ratio-above-one", "zero-n-threads", "n-init-above-budget"],
 )
 def test_flag_range_errors_name_the_flag(flows_csv, tmp_path, flags, message):
     cfg_path = tmp_path / "ok.json"

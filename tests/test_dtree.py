@@ -2,7 +2,7 @@ import gc
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,7 +60,7 @@ def best_split(X, y, hp, feature_subset):
     """Best (feature, threshold, Gini decrease) over the allowed features of
     one node, or None: _node_split's score S as the decrease 2 S / n^2."""
     d = dataset(X, y)
-    found = _node_split(
+    _, found = _node_split(
         d.features.T, d.labels.astype(np.float64), d.column_order, int(d.labels.sum()),
         sorted(feature_subset), hp.min_samples_leaf, None, {}, (),
     )
@@ -506,7 +506,9 @@ def test_parallel_split_search_matches_serial():
     serial = fit_tree(d, hp, seed=2, n_threads=1)
     # a fresh copy has an empty split memo, so the pool scores every feature
     threaded = fit_tree(d.take(np.arange(d.n_rows)), hp, seed=2, n_threads=4)
-    # on d the memo serves the root, and the pool scores the rest
+    # on d the split memo serves the root, and the pool scores the rest;
+    # the fit memo would serve the whole tree
+    d.tree_memo.clear()
     warm = fit_tree(d, hp, seed=2, n_threads=4)
 
     def as_tuple(node):
@@ -693,6 +695,8 @@ def test_a_record_out_of_the_leaf_range_is_scanned_again(monkeypatch, attack_row
     assert same_tree(t.root, ref_fit_tree(X.reshape(-1, 1), y, 1, 2, 3, 2))
     assert t.root.threshold == (2.5 if attack_row == 0 else 60.5)
     # the rescan kept the untrimmed record, which still serves min_samples_leaf=1
+    # (the fit memo would serve the whole tree)
+    d.tree_memo.clear()
     before = len(scans)
     assert dump_tree(fit_tree(d, wide, seed=0)) == first
     assert len(scans) == before
@@ -710,7 +714,9 @@ def test_the_split_memo_stops_storing_at_its_ceiling(monkeypatch):
         other = HyperParams(max_depth=8, min_samples_leaf=2, max_features_fraction=fraction)
         assert dump_tree(fit_tree(d, other, seed)) == dump_tree(fit_tree(fresh_copy(d), other, seed))
     assert records == held
-    # a full memo still serves: the refit scans fewer features than a fresh fit
+    # a full memo still serves: the refit scans fewer features than a fresh
+    # fit (the fit memo would serve the whole tree)
+    d.tree_memo.clear()
     scans = count_scans(monkeypatch)
     assert dump_tree(fit_tree(d, hp, seed=0)) == dump_tree(t)
     served = len(scans)
@@ -746,3 +752,91 @@ def test_deep_nodes_leave_the_split_memo_alone():
     t = fit_tree(d, hp, seed=0)
     assert t.depth == n - 1 and max(depths) == 63
     assert dump_tree(t) == dump_tree(fit_tree(fresh_copy(d), hp, seed=0))
+
+
+# --- the fit memo shared by the fits on one Dataset ---------------------------
+
+def memo_record(d, tree):
+    """The (lo, hi, tree, nodes) record of the fit memo that holds tree, or None."""
+    held = [r for boxes in d.tree_memo.values() for r in boxes if r[2] is tree]
+    return held[0] if held else None
+
+
+def stored_nodes(d):
+    return sum(r[3] for boxes in d.tree_memo.values() for r in boxes)
+
+
+LOWEST = (1, 2, 1)  # the smallest max_depth, min_samples_split, min_samples_leaf
+
+
+def with_settings(hp, settings):
+    return HyperParams(*settings, max_features_fraction=hp.max_features_fraction)
+
+
+tree_memo_fits = st.tuples(
+    st.builds(
+        HyperParams,
+        max_depth=st.integers(1, 8),
+        min_samples_split=st.sampled_from([2, 5, 40, 300]),
+        min_samples_leaf=st.sampled_from([1, 2, 5, 30, 150]),
+        max_features_fraction=st.sampled_from([0.34, 0.67, 1.0]),
+    ),
+    st.integers(0, 2),
+)
+
+
+@given(data_seed=st.integers(0, 2), fits=st.lists(tree_memo_fits, min_size=2, max_size=5))
+@settings(max_examples=30, deadline=None)
+def test_fits_inside_a_recorded_box_return_the_recorded_tree(data_seed, fits):
+    X, y = memo_rows(data_seed)
+    d = dataset(X, y)
+    for hp, seed in fits:
+        t = fit_tree(d, hp, seed)
+        assert dump_tree(t) == dump_tree(fit_tree(fresh_copy(d), hp, seed))
+        ref = ref_fit_tree(
+            X, y, hp.max_depth, hp.min_samples_split, hp.min_samples_leaf, 2,
+            max_features_fraction=hp.max_features_fraction, seed=seed,
+        )
+        assert same_tree(t.root, ref)
+        record = memo_record(d, t)
+        if record is None:  # the memo is full
+            continue
+        lo, hi = record[0], record[1]
+        for corner in np.ndindex(2, 2, 2):  # each corner of the box, inf capped
+            inside = with_settings(hp, [(a, min(b, a + 1000))[c] for a, b, c in zip(lo, hi, corner)])
+            assert fit_tree(d, inside, seed) is t
+            assert dump_tree(t) == dump_tree(fit_tree(fresh_copy(d), inside, seed))
+        # one step out of each face: some decision of the fit may come out
+        # otherwise, so the memo regrows the tree, or serves another box's
+        for i in range(3):
+            for out in (lo[i] - 1, hi[i] + 1):
+                if LOWEST[i] <= out < inf:
+                    stepped = with_settings(hp, [out if j == i else v for j, v in enumerate(lo)])
+                    u = fit_tree(d, stepped, seed)
+                    assert u is not t
+                    assert dump_tree(u) == dump_tree(fit_tree(fresh_copy(d), stepped, seed))
+    assert stored_nodes(d) <= d.n_rows // 4
+
+
+def test_the_fit_memo_stops_storing_at_its_ceiling():
+    X, y = memo_rows(5, n=320)  # room for 80 stored nodes
+    d = dataset(X, y)
+    hp = HyperParams(max_depth=5)
+    trees = []
+    for seed in range(40):
+        before = stored_nodes(d)
+        trees.append(fit_tree(d, hp, seed))
+        if stored_nodes(d) == before:
+            break
+    else:
+        pytest.fail("forty fits never filled the fit memo")
+    assert 0 < stored_nodes(d) <= 80
+    unstored = trees[-1]
+    assert memo_record(d, unstored) is None
+    held = {key: list(boxes) for key, boxes in d.tree_memo.items()}
+    again = fit_tree(d, hp, seed)
+    assert again is not unstored and dump_tree(again) == dump_tree(unstored)
+    assert d.tree_memo == held
+    # a full memo still serves every tree it holds
+    for seed, t in enumerate(trees[:-1]):
+        assert fit_tree(d, hp, seed) is t

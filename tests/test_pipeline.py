@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from botopt import pipeline
 from botopt.bayesopt import Dim, SearchSpace
 from botopt.dtree import HyperParams, dump_tree, fit_tree
 from botopt.ingest import SplitPair, stratified_split
@@ -234,6 +235,52 @@ def test_cv_objective_equals_fresh_fits_on_each_fold(small_data):
         assert objective(asdict(hp)) == float(np.mean(scores))
 
 
+def count_scores(monkeypatch):
+    """A list that gets the id of each tree the CV objective scores."""
+    ids = []
+
+    def counted(tree, d):
+        ids.append(id(tree))
+        return score(tree, d)
+
+    monkeypatch.setattr(pipeline, "score", counted)
+    return ids
+
+
+def cv_objective(small_data):
+    sp = stratified_split(small_data, 0.2, seed=3)
+    train_s = scale_dataset(fit_minmax(sp.train), sp.train)
+    folds = stratified_kfold(train_s.labels, 3, seed=3)
+    return make_cv_objective(train_s, folds, SmoteConfig(3, 1.0, 3), tree_seed=3)
+
+
+def test_cv_objective_scores_a_tree_once(monkeypatch, small_data):
+    # every tree here is shallower than 49 levels, so max_depth 49 lies in
+    # the box of each fold's default-settings tree and the fit memo serves it
+    shallower = asdict(replace(DEFAULT_HP, max_depth=49))
+    want = cv_objective(small_data)(shallower)
+    objective = cv_objective(small_data)
+    scored = count_scores(monkeypatch)
+    objective(asdict(DEFAULT_HP))
+    assert len(scored) == 3
+    assert objective(shallower) == want
+    assert len(scored) == 3
+
+
+def test_cv_objective_scores_a_dead_trees_id_again(monkeypatch, small_data):
+    # copies that no fit memo holds die once scored, and later copies take
+    # their ids; a score kept by id alone would go to the wrong tree
+    settings = [DEFAULT_HP, HyperParams(max_depth=3, min_samples_leaf=4)]
+    objective = cv_objective(small_data)
+    want = [objective(asdict(hp)) for hp in settings]
+    grow = pipeline.fit_tree
+    monkeypatch.setattr(pipeline, "fit_tree", lambda *args: replace(grow(*args)))
+    scored = count_scores(monkeypatch)
+    assert [objective(asdict(hp)) for hp in settings] == want
+    assert len(scored) == 3 * len(settings)
+    assert len(set(scored)) < len(scored)  # some id came back
+
+
 # --- config plumbing ---------------------------------------------------------
 
 def test_config_round_trip():
@@ -300,6 +347,7 @@ def test_config_checks_each_field_against_its_annotation(field, value, message):
         ("smote_ratio", 1.5, r"^smote_ratio must be in \(0, 1\], got 1\.5$"),
         ("budget", 0, r"^budget must be >= 1, got 0$"),
         ("n_init", 0, r"^n_init must be >= 1, got 0$"),
+        ("n_init", 7, r"^n_init must be <= budget \(6\), got 7$"),
         ("cv_folds", 1, r"^cv_folds must be >= 2, got 1$"),
         ("n_candidates", 0, r"^n_candidates must be >= 1, got 0$"),
         ("n_threads", 0, r"^n_threads must be >= 1, got 0$"),
