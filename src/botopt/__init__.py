@@ -17,7 +17,6 @@ from .gp import (
     default_kernel_grid,
     gp_extend,
     gp_fit,
-    log_marginal_likelihood,
     tune_kernel,
 )
 from .ingest import (

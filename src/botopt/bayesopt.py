@@ -5,15 +5,20 @@ then each iteration fits a GP to all observations (targets standardized to
 zero mean and unit variance), maximizes Expected Improvement over a cloud
 of uniform random candidates in the unit cube, and evaluates the winner.
 The GP is used through its public calls only, at the observation noise
-DEFAULT_NOISE: on the first proposal step and every RETUNE_EVERY steps
-after it, ``tune_kernel`` picks the lengthscale by the profile likelihood,
-with the signal variance in closed form, and ``gp_fit`` factorizes afresh
-with that kernel; on the steps in between, ``gp_extend`` grows the last
-model's factor by the one new trial, so at most RETUNE_EVERY - 1 bordered
-rows pile up before the next fresh factorization. Integer dimensions are
-optimized continuously and rounded at evaluation time; rounded
-configurations are cached so a duplicate proposal never re-runs the
-objective.
+DEFAULT_NOISE. On the first proposal step and every RETUNE_EVERY steps
+after it (a re-tune), ``tune_kernel`` picks the lengthscale by the profile
+likelihood, with the signal variance in closed form, ``gp_fit`` factorizes
+afresh with that kernel, a fresh candidate cloud is drawn, and
+``gp_project`` computes the candidates' V = L^-1 k(X, C) in O(t^2 n) into
+one (budget, n_candidates) array allocated once per search (1.6 MB at 200
+trials and 1,000 candidates). The cloud stays fixed until the next
+re-tune: on the steps in between, ``gp_extend`` borders the last model's
+factor and V by the one new trial, in O(t^2 + t n), so at most
+RETUNE_EVERY - 1 bordered rows pile up before the next fresh
+factorization, and each step scores the candidates off V in O(t n).
+Integer dimensions are optimized continuously and rounded at evaluation
+time; rounded configurations are cached so a duplicate proposal never
+re-runs the objective.
 
 Everything is deterministic given (space, budget, n_init, seed, objective):
 per-stage generators are derived from the seed, and candidate scoring ties
@@ -29,7 +34,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import GPModel, default_kernel_grid, gp_extend, gp_fit, gp_predict_batch, tune_kernel
+from .gp import (
+    GPModel,
+    default_kernel_grid,
+    gp_extend,
+    gp_fit,
+    gp_predict_batch,
+    gp_predict_projected,
+    gp_project,
+    tune_kernel,
+)
 
 __all__ = [
     "Dim",
@@ -197,9 +211,13 @@ def propose_next(
     """
     if n_candidates < 1:
         raise ValueError(f"need n_candidates >= 1, got n_candidates={n_candidates}")
-    rng = np.random.default_rng(seed)
-    cands = rng.random((n_candidates, len(space.dims)))
+    cands = np.random.default_rng(seed).random((n_candidates, len(space.dims)))
     mean, var = gp_predict_batch(m, cands)
+    return _ei_argmax(space, cands, mean, var, best_so_far, xi)
+
+
+def _ei_argmax(space: SearchSpace, cands: np.ndarray, mean, var, best_so_far: float, xi: float) -> dict:
+    """The candidate of highest EI, the earliest on ties, in native bounds."""
     ei = _ei_vector(mean, np.sqrt(var), best_so_far, xi)
     return _to_native(space, cands[int(np.argmax(ei))])
 
@@ -215,7 +233,10 @@ def optimize(
     """Maximize objective(config) over the space within an evaluation budget.
 
     The first n_init trials (default max(5, 2 * dims), capped at the
-    budget) come from a Latin hypercube; the rest from propose_next. A
+    budget) come from a Latin hypercube; each of the rest is the EI-argmax
+    over n_candidates uniform candidates, drawn on the re-tune step (with
+    the seed propose_next would get on that step) and kept until the next
+    one, scored off their projection V (see the module docstring). A
     proposal whose rounded config was already evaluated is replaced by one
     fresh uniform candidate; if that also repeats, the trial is recorded
     with the cached objective and the objective is not called again. A
@@ -253,6 +274,7 @@ def optimize(
     for i, u in enumerate(latin_hypercube(n_init, d, init_rng)):
         record(_to_native(space, u), i)
 
+    V = np.empty((budget, n_candidates))  # L^-1 k(X, C), one row per trial in the model
     for i in range(n_init, budget):
         y = np.array([t.objective for t in trials])
         sigma = float(np.std(y))
@@ -260,11 +282,13 @@ def optimize(
         if (i - n_init) % RETUNE_EVERY == 0:  # true on the first proposal step
             kernel = tune_kernel(units[:i], y_std, default_kernel_grid(), DEFAULT_NOISE)
             model = gp_fit(units[:i], y_std, kernel, DEFAULT_NOISE)
-        else:  # same kernel, one more row, new standardized targets
-            model = gp_extend(model, units[:i], y_std)
+            prop_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
+            proj = gp_project(model, np.random.default_rng(prop_seed).random((n_candidates, d)), V)
+        else:  # same kernel and candidates, one more row, new standardized targets
+            model = gp_extend(model, units[:i], y_std, proj)
 
-        prop_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
-        config = propose_next(model, space, float(y_std.max()), prop_seed, n_candidates)
+        mean, var = gp_predict_projected(model, proj)
+        config = _ei_argmax(space, proj.Q, mean, var, float(y_std.max()), DEFAULT_XI)
         if _key(space, config) in cache:
             config = _to_native(space, sub_rng.random(d))
         record(config, i)

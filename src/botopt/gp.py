@@ -23,12 +23,21 @@ the kernel between inputs and query points comes from the Gram form
 
 ``gp_predict_batch`` scores query points 256 columns at a time in one
 buffer of two (t, 256) blocks, instead of two (t, n_query) arrays.
+
+For query points Q that stay fixed while a model grows, ``gp_project``
+keeps V = L^-1 k(X, Q) itself, built by the same blocked loop into the first
+t rows of a caller's (capacity, len(Q)) array, with its column sums of
+squares. ``gp_extend`` then borders V as it borders L^-1: an input x whose
+row of L is [l^T, d] adds the row (k(x, Q) - l^T V) / d, in O(t n) where a
+new projection costs O(t^2 n) (the sequential Cholesky update of Osborne,
+Garnett & Roberts, LION 3, 2009), and ``gp_predict_projected`` reads the
+mean w^T V and the variance k(q,q) - sum v^2 off it, in O(t n) too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log, pi, sqrt
+from math import isfinite, log, sqrt
 
 import numpy as np
 
@@ -38,16 +47,19 @@ __all__ = [
     "gp_fit",
     "gp_extend",
     "gp_predict_batch",
-    "log_marginal_likelihood",
+    "Projection",
+    "gp_project",
+    "gp_predict_projected",
     "tune_kernel",
     "default_kernel_grid",
 ]
 
 # Diagonal jitter ladder tried after a failed factorization.
 _JITTERS = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
-# Query columns per block of gp_predict_batch. A multiple of 8: OpenBLAS sums
-# a product's last n % 8 columns in an order that depends on its width n, so
-# every full block rounds as the same columns of one full-width product.
+# Query columns per block of a prediction or projection. A multiple of 8:
+# OpenBLAS sums a product's last n % 8 columns in an order that depends on its
+# width n, so every full block rounds as the same columns of one full-width
+# product.
 _BLOCK = 256
 
 
@@ -77,6 +89,19 @@ class GPModel:
     jitter: float
     chol_inv: np.ndarray
     w: np.ndarray
+
+
+@dataclass
+class Projection:
+    """V = L^-1 k(X, Q) for a model's t inputs X and fixed query points Q:
+    the first t rows of V, a (capacity, len(Q)) array the caller owns, and
+    vv, the column sums of their squares. gp_project builds it, and
+    gp_extend borders it in place by one row per input it adds."""
+
+    Q: np.ndarray
+    V: np.ndarray
+    vv: np.ndarray
+    t: int
 
 
 def _sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -160,15 +185,21 @@ def gp_fit(X: np.ndarray, y: np.ndarray, p: KernelParams, noise: float) -> GPMod
     return GPModel(X=X, kernel=p, noise=noise, jitter=jitter, chol_inv=chol_inv, w=w)
 
 
-def gp_extend(m: GPModel, X: np.ndarray, y: np.ndarray) -> GPModel:
+def gp_extend(m: GPModel, X: np.ndarray, y: np.ndarray, proj: Projection | None = None) -> GPModel:
     """gp_fit(X, y, m.kernel, m.noise) for an X whose first len(m.X) rows
     are m.X, by bordering m's L^-1 with one row per new input and keeping
     m's jitter. New targets y may differ from m's throughout. Falls back to
-    gp_fit, and its jitter ladder, when a new pivot is not positive."""
+    gp_fit, and its jitter ladder, when a new pivot is not positive.
+
+    A projection proj of m's inputs is bordered too, in place: the input x
+    whose row of L is [l^T, d] adds the row v = (k(x, Q) - l^T V) / d to V
+    and v^2 to vv. On the fallback, proj is rebuilt from the fresh fit."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     t0, t = m.X.shape[0], X.shape[0]
     if X.shape[1] != m.X.shape[1] or t < t0 or not np.array_equal(X[:t0], m.X):
         raise ValueError(f"X must start with the model's {t0} inputs")
+    if proj is not None and (proj.t != t0 or proj.V.shape[0] < t):
+        raise ValueError(f"projection of {proj.t} inputs in {proj.V.shape[0]} rows cannot grow from {t0} to {t}")
     y = _targets(X, y, m.noise)
     p = m.kernel
     L_inv = np.zeros((t, t))
@@ -178,41 +209,82 @@ def gp_extend(m: GPModel, X: np.ndarray, y: np.ndarray) -> GPModel:
         l = L_inv[:r, :r] @ _rbf(p, _sqdist(X[:r], X[r : r + 1]))[:, 0]
         d2 = pivot - float(l @ l)
         if not d2 > 0.0:
-            return gp_fit(X, y, p, m.noise)
+            fit = gp_fit(X, y, p, m.noise)
+            if proj is not None:
+                rebuilt = gp_project(fit, proj.Q, proj.V)
+                proj.vv, proj.t = rebuilt.vv, rebuilt.t
+            return fit
         d = sqrt(d2)  # L gains the row [l^T, d]
         L_inv[r, :r], L_inv[r, r] = (l @ L_inv[:r, :r]) / -d, 1.0 / d
+        if proj is not None:
+            v = _cross_kernel(p, X[r : r + 1], proj.Q, out=proj.V[r : r + 1])[0]
+            v -= l @ proj.V[:r]
+            v /= d
+            proj.vv += v * v
+            proj.t = r + 1
     e = _exponent(y)
     w = np.ldexp(L_inv @ np.ldexp(y, -e), e)
     return GPModel(X=X, kernel=p, noise=m.noise, jitter=m.jitter, chol_inv=L_inv, w=w)
 
 
-def gp_predict_batch(m: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and variances at each row of Q, 256 rows at a time:
-    k* and v = L^-1 k* of a block of b rows fill the first 2 t b floats of
-    one buffer. Bit-equal to one full-width product if len(Q) is a multiple
-    of 8 or at most 256; else its last len(Q) % 8 results can differ in
-    rounding, as that product's own do between BLAS thread counts."""
+def _queries(m: GPModel, Q) -> np.ndarray:
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     if Q.shape[1] != m.X.shape[1]:
         raise ValueError(f"query dimension {Q.shape[1]} does not match model dimension {m.X.shape[1]}")
+    return Q
+
+
+def _blocks(m: GPModel, Q: np.ndarray):
+    """(lo, hi, v) for each block of 256 rows of Q, the last one what is
+    left: k* and v = L^-1 k* of a block of b rows fill the first 2 t b
+    floats of one buffer, which the next block overwrites."""
     t, n = m.X.shape[0], Q.shape[0]
     buf = np.empty(2 * t * min(n, _BLOCK))
-    mean, var = np.empty(n), np.empty(n)
     for lo in range(0, n, _BLOCK):
         b = min(_BLOCK, n - lo)
         # contiguous (t, b) views: a strided view of a wider block rounds differently
         k = _cross_kernel(m.kernel, m.X, Q[lo : lo + b], out=buf[: t * b].reshape(t, b))
-        v = np.matmul(m.chol_inv, k, out=buf[t * b : 2 * t * b].reshape(t, b))  # L^-1 k*
-        np.matmul(m.w, v, out=mean[lo : lo + b])
-        np.einsum("ij,ij->j", v, v, out=var[lo : lo + b])
+        yield lo, lo + b, np.matmul(m.chol_inv, k, out=buf[t * b : 2 * t * b].reshape(t, b))
+
+
+def gp_predict_batch(m: GPModel, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and variances at each row of Q, 256 rows at a time.
+    Bit-equal to one full-width product if len(Q) is a multiple of 8 or at
+    most 256; else its last len(Q) % 8 results can differ in rounding, as
+    that product's own do between BLAS thread counts."""
+    Q = _queries(m, Q)
+    mean, var = np.empty(Q.shape[0]), np.empty(Q.shape[0])
+    for lo, hi, v in _blocks(m, Q):
+        np.matmul(m.w, v, out=mean[lo:hi])
+        np.einsum("ij,ij->j", v, v, out=var[lo:hi])
     np.subtract(m.kernel.signal_variance, var, out=var)
     return mean, np.maximum(var, 0.0, out=var)
 
 
-def log_marginal_likelihood(m: GPModel) -> float:
-    """-1/2 w^T w + sum(log diag L^-1) - t/2 log(2 pi), where w^T w = y^T (K + noise*I)^-1 y."""
-    w = m.w
-    return float(-0.5 * (w @ w) + np.sum(np.log(np.diag(m.chol_inv))) - 0.5 * len(w) * log(2.0 * pi))
+def gp_project(m: GPModel, Q: np.ndarray, out: np.ndarray) -> Projection:
+    """The projection of the query points Q under m, block by block as
+    gp_predict_batch computes it, in the first len(m.X) rows of out, a
+    (capacity, len(Q)) float64 array that gp_extend can grow it into."""
+    Q = _queries(m, Q)
+    t, n = m.X.shape[0], Q.shape[0]
+    if out.ndim != 2 or out.shape[0] < t or out.shape[1] != n:
+        raise ValueError(f"out must have at least {t} rows of {n} columns, got {out.shape}")
+    vv = np.empty(n)
+    for lo, hi, v in _blocks(m, Q):
+        out[:t, lo:hi] = v
+        np.einsum("ij,ij->j", v, v, out=vv[lo:hi])
+    return Projection(Q=Q, V=out, vv=vv, t=t)
+
+
+def gp_predict_projected(m: GPModel, proj: Projection) -> tuple[np.ndarray, np.ndarray]:
+    """gp_predict_batch(m, proj.Q) read off proj in O(t n): the means w^T V
+    and the variances s - vv. proj must be m's own projection: built by
+    gp_project for m, or grown to m's inputs by gp_extend."""
+    t = m.X.shape[0]
+    if proj.t != t:
+        raise ValueError(f"projection holds {proj.t} inputs, the model {t}")
+    var = np.subtract(m.kernel.signal_variance, proj.vv)
+    return m.w @ proj.V[:t], np.maximum(var, 0.0, out=var)
 
 
 def tune_kernel(X: np.ndarray, y: np.ndarray, grid: list[float], noise: float) -> KernelParams:

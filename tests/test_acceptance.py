@@ -16,7 +16,7 @@ import pytest
 
 from botopt.bayesopt import Dim, SearchSpace, optimize
 from botopt.dtree import HyperParams, fit_tree, predict_many
-from botopt.gp import KernelParams, gp_fit, gp_predict_batch, log_marginal_likelihood
+from botopt.gp import KernelParams, gp_fit, gp_predict_batch
 from botopt.ingest import Dataset, class_counts, load_flows
 from botopt.metrics import ConfusionMatrix, compute_metrics
 from botopt.pipeline import PipelineConfig, report_to_text, run_pipeline
@@ -25,6 +25,7 @@ from botopt.synthetic import gaussian_clusters
 
 from reference import (
     knn_indices,
+    log_marginal_likelihood,
     ref_fit_tree,
     ref_gp_predict,
     ref_log_marginal_likelihood,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import botopt
 from botopt.bayesopt import (
+    DEFAULT_XI,
     Dim,
     SearchSpace,
     Trace,
@@ -27,7 +28,15 @@ from botopt.bayesopt import (
     propose_next,
     write_trace,
 )
-from botopt.gp import KernelParams, default_kernel_grid, gp_extend, gp_fit, gp_predict_batch, tune_kernel
+from botopt.gp import (
+    KernelParams,
+    default_kernel_grid,
+    gp_extend,
+    gp_fit,
+    gp_predict_projected,
+    gp_project,
+    tune_kernel,
+)
 
 from reference import ref_ei_vector_two_term, ref_expected_improvement, ref_gp_predict
 
@@ -198,7 +207,7 @@ def test_search_traces_do_not_depend_on_the_blas_thread_count():
         "from botopt.bayesopt import default_dt_space, optimize\n"
         "def objective(c):\n"
         "    return -abs(c['max_depth'] - 17) / 9 - c['min_samples_leaf'] / 50 + c['max_features_fraction'] / 3\n"
-        "for n in (500, 1000):\n"
+        "for n in (257, 500, 1000):\n"
         "    print(repr(optimize(objective, default_dt_space(), budget=40, seed=0, n_candidates=n).trials))\n"
     )
     outputs = []
@@ -349,8 +358,10 @@ def test_duplicates_use_cache_instead_of_reevaluating():
 
 def test_optimize_equals_unshared_surrogate_loop():
     # optimize's loop rebuilt from the public GP calls, with the unit points
-    # rebuilt from the trial configs on every step
-    space, budget, seed, noise = default_dt_space(), 45, 3, 1e-6
+    # rebuilt from the trial configs on every step: candidates drawn on each
+    # re-tune step and projected afresh, then bordered by one row per extend
+    # step, in a buffer of this loop's own
+    space, budget, seed, noise, n_candidates = default_dt_space(), 45, 3, 1e-6, 1000
 
     def objective(config):
         if config["max_depth"] > 40:
@@ -376,23 +387,28 @@ def test_optimize_equals_unshared_surrogate_loop():
 
     for i, u in enumerate(latin_hypercube(n_init, d, init_rng)):
         record(_to_native(space, u), i)
-    model = None
+    V = np.full((budget, n_candidates), np.nan)
     for i in range(n_init, budget):
         U = np.array([[(t.config[m.name] - m.lower) / (m.upper - m.lower) for m in space.dims] for t in trials])
         y = np.array([t.objective for t in trials])
         y_std = (y - np.mean(y)) / (np.std(y) or 1.0)
-        if model is None or (i - n_init) % RETUNE_EVERY == 0:
+        if (i - n_init) % RETUNE_EVERY == 0:
             kp = tune_kernel(U, y_std, default_kernel_grid(), noise)
             model = gp_fit(U, y_std, kp, noise)
+            prop_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
+            cands = np.random.default_rng(prop_seed).random((n_candidates, d))
+            proj = gp_project(model, cands, V)
         else:
-            model = gp_extend(model, U, y_std)
-        prop_seed = int(np.random.SeedSequence([seed, 1, i]).generate_state(1)[0])
-        config = propose_next(model, space, float(y_std.max()), prop_seed)
+            model = gp_extend(model, U, y_std, proj)
+        assert proj.t == i and not np.isnan(V[:i]).any() and np.isnan(V[i:]).all()
+        mean, var = gp_predict_projected(model, proj)
+        ei = _ei_vector(mean, np.sqrt(var), float(y_std.max()), DEFAULT_XI)
+        config = _to_native(space, cands[int(np.argmax(ei))])
         if _key(space, config) in cache:
             config = _to_native(space, sub_rng.random(d))
         record(config, i)
 
-    trace = optimize(objective, space, budget=budget, seed=seed)
+    trace = optimize(objective, space, budget=budget, seed=seed, n_candidates=n_candidates)
     assert any(t.failed for t in trials) and not all(t.failed for t in trials)
     assert trace.trials == tuple(trials)
 
@@ -409,9 +425,9 @@ def test_optimize_fits_every_step_and_retunes_every_retune_every(monkeypatch, bu
             return fn(X, *args)
         return wrapped
 
-    def counting_extend(m, X, y):
+    def counting_extend(m, X, y, *proj):
         extends.append((len(m.X), len(X)))
-        return gp_extend(m, X, y)
+        return gp_extend(m, X, y, *proj)
 
     monkeypatch.setattr(botopt.bayesopt, "gp_fit", counting(fits, gp_fit))
     monkeypatch.setattr(botopt.bayesopt, "tune_kernel", counting(tunes, tune_kernel))

@@ -14,11 +14,13 @@ from botopt.gp import (
     gp_extend,
     gp_fit,
     gp_predict_batch,
-    log_marginal_likelihood,
+    gp_predict_projected,
+    gp_project,
     tune_kernel,
 )
 
 from reference import (
+    log_marginal_likelihood,
     ref_gp_predict,
     ref_gp_predict_full_width,
     ref_kernel_matrix,
@@ -406,6 +408,63 @@ def test_gp_extend_checks_its_targets():
         gp_extend(m, np.array([[0.1], [0.2]]), np.array([1.0]))
     with pytest.raises(ValueError, match="finite"):
         gp_extend(m, np.array([[0.1], [0.2]]), np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("t0, t, n", [(8, 12, 257), (196, 200, 1000)])
+def test_bordered_projection_matches_a_fresh_prediction(t0, t, n):
+    # optimize's steps between re-tunes: a projection of a fresh fit, then one
+    # bordered row per extend step, with new targets each step. The bordered
+    # and the fresh factors agree to about cond(K) eps, so K + noise*I is
+    # kept well conditioned (lengthscale 0.3 in 4 dimensions)
+    rng = np.random.default_rng(t)
+    X, Q, p = rng.random((t, 4)), rng.random((n, 4)), KernelParams(1.3, 0.3)
+    m = gp_fit(X[:t0], rng.standard_normal(t0), p, 1e-6)
+    proj = gp_project(m, Q, np.empty((t, n)))
+    mean, var = gp_predict_projected(m, proj)
+    fresh_mean, fresh_var = gp_predict_batch(m, Q)
+    assert var.tobytes() == fresh_var.tobytes()
+    np.testing.assert_allclose(mean, fresh_mean, rtol=0.0, atol=1e-14)
+    for r in range(t0 + 1, t + 1):
+        y = rng.standard_normal(r)
+        m = gp_extend(m, X[:r], y, proj)
+        assert proj.t == r
+        mean, var = gp_predict_projected(m, proj)
+        fresh_mean, fresh_var = gp_predict_batch(gp_fit(X[:r], y, p, 1e-6), Q)
+        np.testing.assert_allclose(mean, fresh_mean, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(var, fresh_var, rtol=0.0, atol=1e-13)
+
+
+def test_a_bordered_projection_is_rebuilt_on_the_fallback():
+    # the inputs 0.5, 3.0 and 1.5 are 16 or more lengthscales apart; the last
+    # input repeats the first, so at noise 0 its pivot is 1 - 1 = 0 after the
+    # third input's row was bordered, and gp_extend falls back to gp_fit
+    X = np.array([[0.5], [3.0], [1.5], [0.5]])
+    y = np.array([1.0, -1.0, 0.25, 0.5])
+    Q = np.linspace(-1.0, 4.0, 300)[:, None]
+    p = KernelParams(1.0, 1.0 / 16)
+    proj = gp_project(gp_fit(X[:2], y[:2], p, noise=0.0), Q, np.empty((4, 300)))
+    grown = gp_extend(gp_fit(X[:2], y[:2], p, noise=0.0), X, y, proj)
+    fresh = gp_fit(X, y, p, noise=0.0)
+    assert grown.jitter == fresh.jitter > 0.0
+    rebuilt = gp_project(fresh, Q, np.empty((4, 300)))
+    assert proj.t == 4
+    assert proj.V.tobytes() == rebuilt.V.tobytes() and proj.vv.tobytes() == rebuilt.vv.tobytes()
+    for a, b in zip(gp_predict_projected(grown, proj), gp_predict_batch(fresh, Q)):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-14)
+
+
+def test_projection_must_hold_the_models_inputs():
+    rng = np.random.default_rng(61)
+    X, Q, p = rng.random((5, 2)), rng.random((20, 2)), KernelParams(1.0, 0.5)
+    m = gp_fit(X[:3], np.zeros(3), p, 1e-6)
+    with pytest.raises(ValueError, match=r"out must have at least 3 rows of 20 columns"):
+        gp_project(m, Q, np.empty((2, 20)))
+    proj = gp_project(m, Q, np.empty((4, 20)))
+    with pytest.raises(ValueError, match="cannot grow from 3 to 5"):
+        gp_extend(m, X, np.zeros(5), proj)  # one row short
+    grown = gp_extend(m, X[:4], np.zeros(4))
+    with pytest.raises(ValueError, match="projection holds 3 inputs, the model 4"):
+        gp_predict_projected(grown, proj)
 
 
 @pytest.mark.parametrize("lengthscale", [1.0 / 16, 0.3, 1.0, 16.0])
